@@ -11,7 +11,7 @@ from .groups import (
     is_isomorphic,
     subgroup_generated,
 )
-from .oracle import ExistenceVerdict, decide
+from .oracle import ExistenceVerdict, decide, decide_uniform
 from .origami import (
     Origami,
     extend_by_cyclic,
@@ -39,6 +39,7 @@ __all__ = [
     "center",
     "closure_from_generators",
     "decide",
+    "decide_uniform",
     "derived_subgroup",
     "enumerate_regular",
     "extend_by_cyclic",

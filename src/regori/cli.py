@@ -196,6 +196,8 @@ def _cmd_regular_origami(args) -> int:
     G, x, y = witnesses.materialize(args.group)
     if args.gens:
         x, y = (int(v) for v in args.gens.split(","))
+        if not (0 <= x < G.order and 0 <= y < G.order):
+            raise ValueError(f"--gens indices must lie in 0..{G.order - 1}, got {args.gens}")
     o = regular_origami(G, x, y)
     payload = {
         "group": args.group,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidAction, InternalAssertion, NoSuchAction, OutOfRange
-from .groups import FiniteGroup, derived_subgroup, generates, subgroup_generated
+from .groups import FiniteGroup, derived_subgroup, generates
 
 TWO_GROUP_FAMILIES = ("cyclic", "cyclic_x_z2", "M", "D", "SD", "Dic")
 
@@ -285,7 +285,3 @@ def metacyclic_derived_order(m: int, n: int, d: int) -> int:
 
 def derived_order(G: FiniteGroup) -> int:
     return derived_subgroup(G).order
-
-
-def cyclic_subgroup_order(G: FiniteGroup, a: int) -> int:
-    return subgroup_generated(G, (a,)).order

@@ -227,6 +227,8 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
     cycle type) blocks run in a process pool; block order keeps the merge
     deterministic.
     """
+    if n < 1:
+        raise ValueError(f"square count must be at least 1, got {n}")
     if n > budget:
         raise BudgetExceeded(f"square count {n} beyond budget {budget}")
     blocks = [(n, a, b) for a in divisors(n) for b in divisors(n)]

@@ -9,7 +9,6 @@ expose the same interface, and every operation here works through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import perms
 from .errors import BudgetExceeded, DegreeMismatch, NotGenerating
@@ -348,7 +347,3 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, bound: int = DEFAULT_ISO_BOUND
 def require_generating_pair(G: FiniteGroup, x: int, y: int):
     if not generates(G, (x, y)):
         raise NotGenerating(f"elements {x}, {y} generate a proper subgroup of {G.label}")
-
-
-def direct_order_pair(G: FiniteGroup, x: int, y: int) -> int:
-    return lcm(G.element_order(x), G.element_order(y))

@@ -129,7 +129,7 @@ def _extension_witness(k: int, l: int) -> str | None:
             continue
         if (k * s) % 2:
             continue
-        base = _decide_uniform(k, s, allow_extension=False)
+        base = decide_uniform(k, s, allow_extension=False)
         if not base.exists:
             continue
         t = l // s
@@ -138,7 +138,10 @@ def _extension_witness(k: int, l: int) -> str | None:
     return None
 
 
-def _decide_uniform(k: int, l: int, allow_extension: bool = True) -> ExistenceVerdict:
+def decide_uniform(k: int, l: int, allow_extension: bool = True) -> ExistenceVerdict:
+    """Existence verdict for H(k^l), decided from the pair (k, l) alone."""
+    if k < 1 or l < 1:
+        raise PreconditionViolated(f"H({k}^{l}) needs k >= 1 and l >= 1")
     if (k * l) % 2:
         return _not_exists("empty_stratum")
     if k % 2 == 0 and l % 2 == 0:
@@ -187,4 +190,4 @@ def decide(stratum: Stratum) -> ExistenceVerdict:
     uni = stratum.uniform()
     if uni is None:
         return _not_exists("non_uniform")
-    return _decide_uniform(*uni)
+    return decide_uniform(*uni)

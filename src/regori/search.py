@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidGenus
 from .numtheory import divisors
-from .oracle import EXISTS, NOT_EXISTS, UNKNOWN, ExistenceVerdict, decide
+from .oracle import EXISTS, NOT_EXISTS, UNKNOWN, ExistenceVerdict, decide_uniform
 from .strata import uniform_stratum
 
 EXACT = "exact"
@@ -72,12 +72,12 @@ def _verdict_for_m(g: int, m, budget: int) -> ExistenceVerdict:
         if _g1_exists(g):
             return ExistenceVerdict(EXISTS, witness=G1_TAG)
         return ExistenceVerdict(NOT_EXISTS, reason="g1_classification")
-    stratum = uniform_stratum(m, 2 * (g - 1) // m)
-    verdict = decide(stratum)
+    l = 2 * (g - 1) // m
+    verdict = decide_uniform(m, l)
     if verdict.status == UNKNOWN and budget:
-        order = (m + 1) * (2 * (g - 1) // m)
+        order = (m + 1) * l
         if order <= budget:
-            verdict = _resolve_by_enumeration(stratum, order)
+            verdict = _resolve_by_enumeration(uniform_stratum(m, l), order)
     return verdict
 
 

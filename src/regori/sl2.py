@@ -9,8 +9,7 @@ translation-group search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceeded,
@@ -22,6 +21,9 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .numtheory import is_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SL2_CAP = 101
 
@@ -193,6 +195,8 @@ def _encode(mats: np.ndarray, p: int) -> np.ndarray:
 
 def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
     """Exact order of <A, B> by breadth-first closure over encoded matrices."""
+    import numpy as np  # only this closure uses numpy; importing regori stays light
+
     if p > cap:
         raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)

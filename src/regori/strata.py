@@ -35,11 +35,9 @@ class Stratum:
 
     def uniform(self):
         """(k, multiplicity) when all zeros share one order, else None."""
-        if not self.zeros:
-            return None
-        k = self.zeros[0]
-        if all(z == k for z in self.zeros):
-            return k, len(self.zeros)
+        # zeros are sorted descending, so the ends decide uniformity
+        if self.zeros and self.zeros[0] == self.zeros[-1]:
+            return self.zeros[0], len(self.zeros)
         return None
 
     def counts(self) -> list:

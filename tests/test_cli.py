@@ -95,6 +95,16 @@ def test_regular_origami(capsys):
     assert payload["translations"] == 55
 
 
+def test_regular_origami_rejects_out_of_range_gens(capsys):
+    for gens in ("0,99", "-1,1", "1,4"):
+        assert main(["regular-origami", "--group", "c(4)", f"--gens={gens}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gens indices must lie in 0..3" in captured.err
+    code, payload = run_json(capsys, "regular-origami", "--group", "c(4)", "--gens", "1,3")
+    assert code == 0 and payload["generators"] == [1, 3]
+
+
 def test_psl_pair(capsys):
     code, payload = run_json(capsys, "psl-pair", "11", "12")
     assert code == 0
@@ -116,6 +126,14 @@ def test_enumerate(capsys):
     assert payload["count"] == 2
     strata = {w["stratum"] for w in payload["witnesses"]}
     assert strata == {"H()", "H(2^2)"}
+
+
+def test_enumerate_rejects_nonpositive_n(capsys):
+    for n in ("0", "-3"):
+        assert main(["enumerate", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "square count must be at least 1" in captured.err
 
 
 def test_enumerate_csv(capsys):

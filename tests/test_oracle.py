@@ -3,7 +3,7 @@
 import pytest
 
 from regori.errors import PreconditionViolated
-from regori.oracle import EXISTS, NOT_EXISTS, UNKNOWN, decide
+from regori.oracle import EXISTS, NOT_EXISTS, UNKNOWN, decide, decide_uniform
 from regori.origami import genus_of, regular_origami, stratum_of, translation_group
 from regori.strata import Stratum, parse_stratum, uniform_stratum
 from regori.witnesses import descriptor_order, materialize
@@ -121,3 +121,16 @@ def test_consistency_with_slope_filter():
             g1 = (k * s // 2) % 2 == 0 or (k * s // 2) % 3 == 0
             if k % 3 == 0 or k % 4 == 0:
                 assert g1, (k, s)
+
+
+def test_decide_uniform_matches_decide():
+    # the whole verdict (status, witness, reason) for every H(k^l) with (k+1)l <= 2000
+    for k in range(1, 2000):
+        for l in range(1, 2000 // (k + 1) + 1):
+            assert decide_uniform(k, l) == decide(uniform_stratum(k, l)), (k, l)
+
+
+def test_decide_uniform_rejects_empty_data():
+    for k, l in ((0, 3), (3, 0), (-2, 2)):
+        with pytest.raises(PreconditionViolated):
+            decide_uniform(k, l)

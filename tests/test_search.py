@@ -113,3 +113,20 @@ def test_budget_resolution_settles_smallest_open_stratum():
     resolved = _resolve_by_enumeration(stratum, 45)
     assert resolved.status == "not_exists"
     assert resolved.reason == "enumerated_empty"
+
+
+def test_large_genus_builds_no_stratum(monkeypatch):
+    from regori import search
+    from regori.tables import PROGRESSION_ROWS
+
+    def refuse(k, l):
+        raise AssertionError(f"built H({k}^{l})")
+
+    monkeypatch.setattr(search, "uniform_stratum", refuse)
+    p = 1000003  # prime; H(2^p) is the largest stratum the scan meets
+    b = t_of_g(p + 1)
+    assert b.status == EXACT and b.lower == 2 * p and b.m is None
+    prime, g, t = PROGRESSION_ROWS[53]
+    b = t_of_g(g)
+    assert b.status == EXACT and (b.lower, b.m) == (t, 53)
+    assert b.witness == f"psl({prime},108)"

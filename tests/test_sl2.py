@@ -193,3 +193,26 @@ def test_psl_family_table_row_m11():
 def test_serialization():
     A = sl2.Mat2(11, 1, 2, 0, 1)
     assert str(A) == "[[1,2],[0,1]]@11"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import regori
+
+    code = (
+        "import sys\n"
+        "import regori.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "from regori import sl2\n"
+        "A, B = sl2.build_generating_pair(23, 6)\n"
+        "print(sl2.closure_order(23, A, B))\n"
+    )
+    src = str(Path(regori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", str(23 * (23 * 23 - 1))]

@@ -20,6 +20,7 @@ from .origami import (
     regular_origami,
     stratum_of,
     translation_group,
+    translation_order,
 )
 from .search import TransBound, candidate_ms, t_of_g
 from .strata import Stratum, parse_stratum, uniform_stratum
@@ -52,5 +53,6 @@ __all__ = [
     "subgroup_generated",
     "t_of_g",
     "translation_group",
+    "translation_order",
     "uniform_stratum",
 ]

@@ -15,7 +15,7 @@ import sys
 
 from . import enumerator, numtheory, oracle, search, sl2, tables, witnesses
 from .errors import RegoriError
-from .origami import genus_of, one_cylinder, regular_origami, stratum_of, translation_group
+from .origami import genus_of, one_cylinder, regular_origami, stratum_of, translation_order
 from .strata import parse_stratum
 
 
@@ -179,7 +179,7 @@ def _cmd_one_cylinder(args) -> int:
         "g": args.g,
         "origami": o.serialize(),
         "stratum": str(stratum_of(o)),
-        "translations": translation_group(o).order,
+        "translations": translation_order(o),
     }
     _emit(args, payload)
     return 0
@@ -195,7 +195,12 @@ def _cmd_regular_origami(args) -> int:
         )
     G, x, y = witnesses.materialize(args.group)
     if args.gens:
-        x, y = (int(v) for v in args.gens.split(","))
+        try:
+            x, y = (int(v) for v in args.gens.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--gens takes two comma-separated element indices x,y, got {args.gens!r}"
+            ) from None
         if not (0 <= x < G.order and 0 <= y < G.order):
             raise ValueError(f"--gens indices must lie in 0..{G.order - 1}, got {args.gens}")
     o = regular_origami(G, x, y)
@@ -206,7 +211,7 @@ def _cmd_regular_origami(args) -> int:
         "origami": o.serialize(),
         "stratum": str(stratum_of(o)),
         "genus": genus_of(o),
-        "translations": translation_group(o).order,
+        "translations": translation_order(o),
     }
     _emit(args, payload)
     return 0

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 from . import perms
 from .errors import BudgetExceeded
-from .groups import FiniteGroup, closure_from_generators, is_isomorphic
+from .groups import FiniteGroup, is_isomorphic
 from .numtheory import divisors
-from .origami import Origami, stratum_of, translations
+from .origami import Origami, is_regular, stratum_of, translation_group
 from .strata import Stratum
 
 DEFAULT_ENUM_BUDGET = 32
@@ -245,17 +245,14 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
             if not perms.is_transitive_pair(sh, sv):
                 continue
             o = Origami(sh, sv)
-            if len(translations(o)) != n:
+            if not is_regular(o):
                 continue
-            try:
-                G = closure_from_generators([sh, sv], budget=n)
-            except BudgetExceeded:
-                continue
-            if G.order != n:
-                continue
-            x = G.perms.index(sh)
-            y = G.perms.index(sv)
-            raw.append(EnumWitness(o, G, x, y, stratum_of(o)))
+            # The pair generates a regular group, anti-isomorphic to its
+            # centralizer, the translations (Dixon & Mortimer, Thm 4.2A); sh
+            # and sv map to the translations moving square 0 as they do, at
+            # indices sh[0] and sv[0]. Isomorphism class and commutator
+            # order are kept.
+            raw.append(EnumWitness(o, translation_group(o), sh[0], sv[0], stratum_of(o)))
     kept = []
     for w in raw:
         dup = False

@@ -75,45 +75,110 @@ def genus_of(o: Origami) -> int:
     return (o.n - len(cycles)) // 2 + 1
 
 
-def translations(o: Origami) -> list:
-    """All square permutations commuting with both gluings.
+def _extend(h, v, hi, vi, j: int):
+    """The translation sending square 0 to j, or None when there is none.
 
     A translation is determined by the image of square 0: the unique
     equivariant extension either closes up or hits a contradiction.
     """
-    n = o.n
-    h, v = o.sigma_h, o.sigma_v
-    hi, vi = perms.invert(h), perms.invert(v)
-    out = []
-    for j in range(n):
-        tau = [-1] * n
-        used = [False] * n
-        tau[0] = j
-        used[j] = True
-        stack = [0]
-        ok = True
-        while stack and ok:
-            p = stack.pop()
-            tp = tau[p]
-            for f in (h, v, hi, vi):
-                q, tq = f[p], f[tp]
-                if tau[q] == -1:
-                    if used[tq]:
-                        ok = False
-                        break
-                    tau[q] = tq
-                    used[tq] = True
-                    stack.append(q)
-                elif tau[q] != tq:
-                    ok = False
-                    break
-        if ok:
-            out.append(tuple(tau))
+    n = len(h)
+    tau = [-1] * n
+    used = [False] * n
+    tau[0] = j
+    used[j] = True
+    stack = [0]
+    while stack:
+        p = stack.pop()
+        tp = tau[p]
+        for f in (h, v, hi, vi):
+            q, tq = f[p], f[tp]
+            if tau[q] == -1:
+                if used[tq]:
+                    return None
+                tau[q] = tq
+                used[tq] = True
+                stack.append(q)
+            elif tau[q] != tq:
+                return None
+    return tuple(tau)
+
+
+def _orbit(start: list, gens: list, mark: bytearray, value: int) -> list:
+    """Close the points of start under gens, setting mark[p] = value on each."""
+    out = list(start)
+    for p in out:
+        for s in gens:
+            q = s[p]
+            if mark[q] != value:
+                mark[q] = value
+                out.append(q)
     return out
 
 
+def _translation_generators(o: Origami) -> tuple:
+    """Generators of the translation group, and the orbit of square 0 under it.
+
+    The translations centralize the transitive monodromy group, so they act
+    freely (semiregularly) on the squares (Dixon & Mortimer, *Permutation
+    Groups*, Thm 4.2A). Hence a target j needs a propagation only when the
+    translations found so far neither reach it from 0 nor have seen it fail:
+    if none sends 0 to j, none sends 0 to t(j) for a translation t either,
+    since t^-1 would then send 0 to j. Each success at least doubles the
+    orbit of 0, so there are at most log2(n) generators.
+    """
+    h, v = o.sigma_h, o.sigma_v
+    hi, vi = perms.invert(h), perms.invert(v)
+    mark = bytearray(o.n)  # 1: in the orbit of 0, 2: no translation reaches it
+    mark[0] = 1
+    gens = []
+    orbit = [0]
+    for j in range(1, o.n):
+        if mark[j]:
+            continue
+        tau = _extend(h, v, hi, vi, j)
+        if tau is None:
+            mark[j] = 2
+            _orbit([j], gens, mark, 2)
+        else:
+            gens.append(tau)
+            orbit = _orbit(orbit, gens, mark, 1)
+    return gens, orbit
+
+
+def translation_order(o: Origami) -> int:
+    """The number of translations, without building them.
+
+    The translations act freely (see `_translation_generators`), so their
+    number is the size of the orbit of square 0.
+    """
+    return len(_translation_generators(o)[1])
+
+
+def translations(o: Origami) -> list:
+    """All square permutations commuting with both gluings, sorted by the image of 0.
+
+    A translation acts freely, so it is determined by the image of square 0
+    (Dixon & Mortimer, Thm 4.2A); the group is expanded from the generators
+    of `_translation_generators`, building each element once.
+    """
+    gens, _ = _translation_generators(o)
+    by_image = {0: perms.identity(o.n)}
+    queue = [by_image[0]]
+    for e in queue:
+        for s in gens:
+            j = s[e[0]]
+            if j not in by_image:
+                by_image[j] = c = tuple(map(s.__getitem__, e))
+                queue.append(c)
+    return [by_image[j] for j in sorted(by_image)]
+
+
 def translation_group(o: Origami) -> FiniteGroup:
-    """The translations as an indexed group; they are already closed."""
+    """The translations as an indexed group; they are already closed.
+
+    Element i is translations(o)[i], so on a regular origami element j is
+    the translation sending square 0 to j.
+    """
     taus = translations(o)
     index = {t: i for i, t in enumerate(taus)}
 
@@ -130,7 +195,7 @@ def translation_group(o: Origami) -> FiniteGroup:
 
 
 def is_regular(o: Origami) -> bool:
-    return len(translations(o)) == o.n
+    return translation_order(o) == o.n
 
 
 def one_cylinder(g: int) -> Origami:

@@ -105,6 +105,14 @@ def test_regular_origami_rejects_out_of_range_gens(capsys):
     assert code == 0 and payload["generators"] == [1, 3]
 
 
+def test_regular_origami_rejects_malformed_gens(capsys):
+    for gens in ("1", "a,b", "1,2,3"):
+        assert main(["regular-origami", "--group", "c(4)", f"--gens={gens}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gens takes two comma-separated element indices x,y" in captured.err
+
+
 def test_psl_pair(capsys):
     code, payload = run_json(capsys, "psl-pair", "11", "12")
     assert code == 0

@@ -1,5 +1,8 @@
 """Origami construction, singularity data, translations, cyclic extensions."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from regori.constructions import (
 from regori.errors import CoprimalityViolated, InvalidGenus, NotGenerating
 from regori.origami import (
     Origami,
+    _translation_generators,
     extend_by_cyclic,
     genus_of,
     is_regular,
@@ -22,6 +26,7 @@ from regori.origami import (
     regular_origami,
     stratum_of,
     translation_group,
+    translation_order,
     translations,
 )
 from regori.strata import Stratum, parse_stratum
@@ -192,3 +197,103 @@ def test_random_pairs_genus_consistency(pair):
     assert g >= 1
     assert sum(stratum_of(o).zeros) == 2 * g - 2
     assert o.n % len(translations(o)) == 0
+
+
+def _translations_reference(o):
+    """Every target square propagated on its own: the O(n^2) definition."""
+    n = o.n
+    h, v = o.sigma_h, o.sigma_v
+    hi, vi = perms.invert(h), perms.invert(v)
+    out = []
+    for j in range(n):
+        tau = [-1] * n
+        used = [False] * n
+        tau[0] = j
+        used[j] = True
+        stack = [0]
+        ok = True
+        while stack and ok:
+            p = stack.pop()
+            tp = tau[p]
+            for f in (h, v, hi, vi):
+                q, tq = f[p], f[tp]
+                if tau[q] == -1:
+                    if used[tq]:
+                        ok = False
+                        break
+                    tau[q] = tq
+                    used[tq] = True
+                    stack.append(q)
+                elif tau[q] != tq:
+                    ok = False
+                    break
+        if ok:
+            out.append(tuple(tau))
+    return out
+
+
+def _random_origamis(seed, count):
+    """Seeded transitive pairs on fewer than 40 squares.
+
+    Half are uniform random pairs, whose translations are mostly trivial;
+    the other half are random cyclic covers of random pairs, whose deck
+    group adds translations, so that both found and failed targets occur.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = rng.randrange(1, 14)
+        b = 1 if len(out) % 2 == 0 else rng.randrange(2, 40 // a)
+        sh, sv = list(range(a)), list(range(a))
+        rng.shuffle(sh)
+        rng.shuffle(sv)
+        dh = [rng.randrange(b) for _ in range(a)]
+        dv = [rng.randrange(b) for _ in range(a)]
+        h = tuple(sh[i % a] + a * ((i // a + dh[i % a]) % b) for i in range(a * b))
+        v = tuple(sv[i % a] + a * ((i // a + dv[i % a]) % b) for i in range(a * b))
+        if perms.is_transitive_pair(h, v):
+            out.append(Origami(h, v))
+    return out
+
+
+def _enumerated_origamis():
+    from regori.enumerator import enumerate_regular
+
+    return [w.origami for n in (8, 12, 16, 24) for w in enumerate_regular(n)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: _random_origamis(seed=2024, count=1500),
+        lambda: [one_cylinder(g) for g in range(2, 61)],
+        _enumerated_origamis,
+    ],
+    ids=["random", "one_cylinder", "enumerated"],
+)
+def test_translations_match_per_target_reference(family):
+    origamis = family()
+    assert origamis
+    for o in origamis:
+        taus = translations(o)
+        assert taus == _translations_reference(o), o.serialize()
+        assert translation_order(o) == len(taus)
+        # each generator at least doubles the orbit of square 0
+        gens, orbit = _translation_generators(o)
+        assert 2 ** len(gens) <= len(orbit)
+        assert is_regular(o) == (len(taus) == o.n)
+
+
+def test_random_covers_have_translations_and_dead_targets():
+    counts = [(len(translations(o)), o.n) for o in _random_origamis(seed=2024, count=1500)]
+    assert any(1 < t < n for t, n in counts)
+    assert any(t == n > 1 for t, n in counts)
+
+
+def test_translation_order_large_regular_origami(capsys):
+    from regori.cli import main
+
+    assert main(["--output", "json", "regular-origami", "--group", "sd(11,175,3)"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["order"] == 1925
+    assert payload["translations"] == 1925

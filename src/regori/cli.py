@@ -141,6 +141,7 @@ def _cmd_stratum_exists(args) -> int:
     verdict = oracle.decide(stratum)
     payload = {"stratum": str(stratum), "status": verdict.status}
     if verdict.status == oracle.EXISTS:
+        witnesses.certify(verdict.witness, *stratum.uniform())
         payload["witness"] = verdict.witness
         payload["generators"] = witnesses.generator_coords(verdict.witness)
     elif verdict.status == oracle.NOT_EXISTS:
@@ -194,7 +195,7 @@ def _cmd_regular_origami(args) -> int:
             f"--closure-budget {args.closure_budget}"
         )
     G, x, y = witnesses.materialize(args.group)
-    if args.gens:
+    if args.gens is not None:
         try:
             x, y = (int(v) for v in args.gens.split(","))
         except ValueError:

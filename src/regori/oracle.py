@@ -185,7 +185,7 @@ def decide(stratum: Stratum) -> ExistenceVerdict:
     Non-uniform strata never contain one. Uniform strata run the rule
     cascade; Unknown is an honest answer, not an error.
     """
-    if not stratum.zeros:
+    if not stratum.counts():
         raise PreconditionViolated("the torus stratum needs no decision")
     uni = stratum.uniform()
     if uni is None:

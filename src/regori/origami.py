@@ -243,6 +243,17 @@ def split_coprime(k: int, a: int, b: int) -> tuple:
     return t, s
 
 
+def split_residues(k: int, a: int, b: int) -> tuple:
+    """(u, v) in 0..k-1 with u = 1 mod t, 0 mod s and v = 0 mod t, 1 mod s,
+    for the split k = t*s of `split_coprime(k, a, b)`."""
+    from .numtheory import crt_solve
+
+    t, s = split_coprime(k, a, b)
+    u, _ = crt_solve([(1, t), (0, s)])
+    v, _ = crt_solve([(0, t), (1, s)])
+    return u, v
+
+
 def extend_by_cyclic(G: FiniteGroup, x: int, y: int, k: int) -> tuple:
     """Extend (G, x, y) to (G x Z/k, a, b) preserving the commutator order.
 
@@ -251,15 +262,10 @@ def extend_by_cyclic(G: FiniteGroup, x: int, y: int, k: int) -> tuple:
     keeps the zero order and multiplies the multiplicity by k.
     """
     from .constructions import cyclic, direct_product
-    from .numtheory import crt_solve
 
-    a_ord = G.element_order(x)
-    b_ord = G.element_order(y)
-    t, s = split_coprime(k, a_ord, b_ord)
-    u, _ = crt_solve([(1, t), (0, s)])
-    v, _ = crt_solve([(0, t), (1, s)])
+    u, v = split_residues(k, G.element_order(x), G.element_order(y))
     H = direct_product(G, cyclic(k))
-    a = x * k + u % k
-    b = y * k + v % k
+    a = x * k + u
+    b = y * k + v
     require_generating_pair(H, a, b)
     return H, a, b

@@ -9,7 +9,6 @@ translation-group search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceeded,
@@ -20,10 +19,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .groups import FiniteGroup
-from .numtheory import is_prime
-
-if TYPE_CHECKING:
-    import numpy as np
+from .numtheory import factorize, is_prime
 
 DEFAULT_SL2_CAP = 101
 
@@ -85,16 +81,40 @@ def trace(M: Mat2) -> int:
     return M.trace
 
 
+def mat_pow(M: Mat2, e: int) -> Mat2:
+    result, base = mat_identity(M.p), M
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return result
+
+
+def _order(M: Mat2, units: tuple) -> int:
+    """Smallest e >= 1 with M^e in units, a subgroup of the centre.
+
+    M^e lies in the subgroup exactly when the order divides e, and M^|SL(2,p)|
+    = Id, so each prime is stripped from p(p-1)(p+1) while the power stays in
+    the subgroup: O(log^2 p) products.
+    """
+    p = M.p
+    e = p * (p - 1) * (p + 1)
+    for q in set(factorize(e)):
+        while e % q == 0 and mat_pow(M, e // q) in units:
+            e //= q
+    return e
+
+
 def mat_order(M: Mat2) -> int:
-    """Smallest k >= 1 with M^k = Id; capped at the full group order."""
-    cap = M.p * (M.p - 1) * (M.p + 1)
+    """Smallest k >= 1 with M^k = Id."""
+    return _order(M, (mat_identity(M.p),))
+
+
+def proj_order(M: Mat2) -> int:
+    """Order of the image of M in PSL(2,p): smallest k >= 1 with M^k = +-Id."""
     ident = mat_identity(M.p)
-    x = M
-    for k in range(1, cap + 1):
-        if x == ident:
-            return k
-        x = mat_mul(x, M)
-    raise InternalAssertion(f"order of {M} beyond group order")  # pragma: no cover
+    return _order(M, (ident, mat_neg(ident)))
 
 
 def commutator(A: Mat2, B: Mat2) -> Mat2:
@@ -189,33 +209,38 @@ def mw_generates(p: int, A: Mat2, B: Mat2) -> bool:
     return True
 
 
-def _encode(mats: np.ndarray, p: int) -> np.ndarray:
-    return ((mats[:, 0, 0] * p + mats[:, 0, 1]) * p + mats[:, 1, 0]) * p + mats[:, 1, 1]
-
-
 def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
-    """Exact order of <A, B> by breadth-first closure over encoded matrices."""
-    import numpy as np  # only this closure uses numpy; importing regori stays light
+    """Exact order of <A, B> by orbit-stabilizer on the nonzero vectors of F_p^2.
 
+    The orbit of e1 = (1, 0) is walked breadth-first, keeping for each vector
+    v one element g_v of <A, B> with g_v e1 = v; its first column is v, so only
+    the second column is stored. The stabilizer of e1 in SL(2,p) is the
+    unipotent group [[1, b], [0, 1]] of prime order p, so the stabilizer in
+    <A, B> has order 1 or p. By Schreier's lemma it is generated by the
+    elements g_sv^-1 s g_v, one per orbit vector v and generator s, and such an
+    element is nontrivial iff s g_v differs from the stored g_sv. O(p^2) steps.
+    """
     if p > cap:
         raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)
-    gens = np.array(
-        [[[A.a, A.b], [A.c, A.d]], [[B.a, B.b], [B.c, B.d]]], dtype=np.int64
-    )
-    frontier = np.array([[[1, 0], [0, 1]]], dtype=np.int64)
-    seen = {int(_encode(frontier, p)[0])}
-    while len(frontier):
-        prods = np.einsum("iab,gbc->igac", frontier, gens) % p
-        prods = prods.reshape(-1, 2, 2)
-        keys, first = np.unique(_encode(prods, p), return_index=True)
-        fresh = []
-        for pos, key in zip(first.tolist(), keys.tolist()):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(pos)
-        frontier = prods[fresh]
-    return len(seen)
+    gens = ((A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d))
+    column = {(1, 0): (0, 1)}
+    frontier = [((1, 0), (0, 1))]
+    stabilizer = 1
+    while frontier:
+        new = []
+        for (x, y), (z, w) in frontier:
+            for a, b, c, d in gens:
+                v = ((a * x + b * y) % p, (c * x + d * y) % p)
+                col = ((a * z + b * w) % p, (c * z + d * w) % p)
+                seen = column.get(v)
+                if seen is None:
+                    column[v] = col
+                    new.append((v, col))
+                elif seen != col:
+                    stabilizer = p
+        frontier = new
+    return len(column) * stabilizer
 
 
 def _two_square_reps(p: int, a: int):

@@ -9,15 +9,18 @@ Grammar (whitespace-free):
     psl(P,D)        PSL(2,P) from the order-D commutator pair downstairs
 
 Descriptors are cheap to pass around; materializing one yields the group
-and its generator pair, ready to be turned into an origami.
+and its generator pair, ready to be turned into an origami. Generator
+coordinates and the certificate that a descriptor witnesses a stratum come
+from the descriptor alone, without building the group.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from . import constructions as cons
-from .errors import RegoriError
+from .errors import InternalAssertion, InvalidAction, RegoriError
 
 
 def _split_args(body: str) -> list:
@@ -90,12 +93,18 @@ def _materialize(node):
         (lam,) = args
         return cons.q8_witness(lam)
     if head == "psl":
-        p, d = args
-        from .sl2 import build_generating_pair, psl_group
+        from .sl2 import psl_group
 
-        A, B = build_generating_pair(p, d)
-        return psl_group(p, A, B)
+        p, _ = args
+        return psl_group(p, *_psl_pair(*args))
     raise ValueError(f"unknown descriptor head {head!r}")
+
+
+@lru_cache(maxsize=32)
+def _psl_pair(p: int, d: int) -> tuple:
+    from . import sl2
+
+    return sl2.build_generating_pair(p, d)
 
 
 def descriptor_order(desc) -> int:
@@ -132,8 +141,6 @@ def descriptor_generator_orders(desc) -> tuple:
     if head == "sd":
         return args[0], args[1]
     if head == "dp":
-        from math import lcm
-
         from .origami import split_coprime
 
         ox, oy = descriptor_generator_orders(args[0])
@@ -145,20 +152,9 @@ def descriptor_generator_orders(desc) -> tuple:
     if head == "q8w":
         return 4 * args[0], 3
     if head == "psl":
-        p, d = args
-        from .sl2 import build_generating_pair, mat_identity, mat_mul, mat_neg
+        from .sl2 import proj_order
 
-        A, B = build_generating_pair(p, d)
-        ident = mat_identity(p)
-        nident = mat_neg(ident)
-
-        def proj_order(M):
-            x, e = M, 1
-            while x != ident and x != nident:
-                x = mat_mul(x, M)
-                e += 1
-            return e
-
+        A, B = _psl_pair(*args)
         return proj_order(A), proj_order(B)
     raise ValueError(f"unknown descriptor head {head!r}")
 
@@ -176,7 +172,140 @@ def extend_descriptor(desc: str, k: int) -> str:
     return f"dp({desc},c({k}))"
 
 
+def _coords(node) -> tuple:
+    head, args = node
+    if head == "c":
+        (n,) = args
+        return 1 % n, 0
+    if head == "sd":
+        m, n, _ = args
+        return [1 % m, 0], [0, 1 % n]
+    if head == "dp":
+        from .origami import split_residues
+
+        base, (_, (k,)) = args
+        cx, cy = _coords(base)
+        u, v = split_residues(k, *descriptor_generator_orders(base))
+        return [cx, u], [cy, v]
+    if head == "klein":
+        (lam,) = args
+        return [[1 % lam, 1, 0], 0], [[0, 0, 1], 1]
+    if head == "q8w":
+        (lam,) = args
+        return [[1 % lam, "i"], 0], [[0, "k"], 1]
+    if head == "psl":
+        p, _ = args
+
+        def projective_class(M):
+            mat = (M.a, M.b, M.c, M.d)
+            return list(min(mat, tuple(-v % p for v in mat)))
+
+        return tuple(projective_class(M) for M in _psl_pair(*args))
+    raise ValueError(f"unknown descriptor head {head!r}")
+
+
 def generator_coords(desc: str):
-    """JSON-friendly coordinates of the canonical generators."""
-    G, x, y = materialize(desc)
-    return [G.coords(x), G.coords(y)]
+    """JSON-friendly coordinates of the canonical generators.
+
+    The same values `materialize(desc)` gives through `G.coords`, computed
+    from the descriptor: a PSL(2,p) element is the smaller of the matrix
+    entry tuples (a, b, c, d) and (-a, -b, -c, -d) mod p, and a cyclic
+    extension pairs the base coordinates with the residues that
+    `origami.extend_by_cyclic` picks.
+    """
+    return list(_coords(parse_descriptor(desc)))
+
+
+def _commutator_order(node) -> int:
+    head, args = node
+    if head == "c":
+        return 1
+    if head == "sd":
+        # [(1,0), (0,1)] = (1 - d, 0) in Z/m
+        m, _, d = args
+        return m // gcd(d - 1, m)
+    if head == "dp":
+        # the cyclic factor is central, so the commutator lives in the base
+        return _commutator_order(args[0])
+    if head == "klein":
+        return 2 * args[0]
+    if head == "q8w":
+        return 4 * args[0]
+    if head == "psl":
+        from .sl2 import commutator, proj_order
+
+        return proj_order(commutator(*_psl_pair(*args)))
+    raise ValueError(f"unknown descriptor head {head!r}")
+
+
+def _certify_generation(node) -> None:
+    """Raise InternalAssertion unless the canonical pair generates the group.
+
+    - c(N): 1 generates Z/N.
+    - sd(M,N,D): (a, b) = (1,0)^a (0,1)^b, once D^N = 1 mod M makes the
+      twist an action.
+    - klein(L), q8w(L): the twist needs an order-3 multiplier mod L, i.e.
+      every prime factor of L is 1 mod 3, so L is odd. Then x^L is the
+      Klein or quaternion part of x and its conjugates by y span that
+      factor (the twist rotates it with period three); x^2, resp. x^4,
+      generates Z/L; y maps onto Z/3.
+    - dp(B,c(K)): with K = t*s, t prime to ord(x), s prime to ord(y) and
+      gcd(t, s) = 1, the powers a^ord(x) = (1, ord(x) u) and
+      b^ord(y) = (1, ord(y) v) generate 1 x Z/t and 1 x Z/s, hence 1 x Z/K,
+      and the pair maps onto B's generating pair.
+    - psl(P,D): Macbeath's trace test (`sl2.mw_generates`) for P >= 13; the
+      one smaller field, P = 11, is closed outright (660 elements).
+    """
+    head, args = node
+    if head == "sd":
+        try:
+            cons.SemidirectSpec(*args).validate()
+        except InvalidAction as exc:
+            raise InternalAssertion(f"{_fmt(node)}: {exc}") from exc
+    elif head in ("klein", "q8w"):
+        from .numtheory import factorize
+
+        bad = [q for q in factorize(args[0]) if q % 3 != 1]
+        if bad:
+            raise InternalAssertion(f"no order-3 multiplier mod {args[0]}: factor {bad[0]}")
+    elif head == "dp":
+        _certify_generation(args[0])
+        k = args[1][1][0]
+        ox, oy = descriptor_generator_orders(args[0])
+        if gcd(k, gcd(ox, oy)) != 1:
+            raise InternalAssertion(
+                f"{_fmt(node)}: {k} shares a factor with both generator orders {ox} and {oy}"
+            )
+    elif head == "psl":
+        from . import sl2
+
+        p, _ = args
+        A, B = _psl_pair(*args)
+        if p >= 13:
+            generated = sl2.mw_generates(p, A, B)
+        else:
+            generated = sl2.closure_order(p, A, B) == p * (p - 1) * (p + 1)
+        if not generated:
+            raise InternalAssertion(f"the pair of {_fmt(node)} does not generate SL(2,{p})")
+    elif head != "c":
+        raise ValueError(f"unknown descriptor head {head!r}")
+
+
+def certify(desc: str, k: int, l: int) -> tuple:
+    """Re-prove that desc witnesses the stratum H(k^l), from the descriptor alone.
+
+    A regular origami from G and a generating pair (x, y) lies in
+    H(k^l) exactly when |G| = (k+1)*l and [x, y] has order k+1. Each check
+    costs polylog(|G|) group operations once a PSL(2,p) pair is built (a
+    scan over F_p), never |G|. Returns the names of the checks passed, in
+    order; raises InternalAssertion on the first that fails.
+    """
+    node = parse_descriptor(desc)
+    order = descriptor_order(node)
+    if order != (k + 1) * l:
+        raise InternalAssertion(f"{desc} has order {order}, not {(k + 1) * l} for H({k}^{l})")
+    comm = _commutator_order(node)
+    if comm != k + 1:
+        raise InternalAssertion(f"{desc} has commutator order {comm}, not {k + 1}")
+    _certify_generation(node)
+    return ("order", "commutator_order", "generation")

@@ -141,6 +141,20 @@ def test_criterion_7_generating_pairs_sweep():
                 assert sl2.closure_order(p, A, B) == p * (p - 1) * (p + 1), (p, d)
 
 
+def test_criterion_7_generating_pairs_sweep_to_211():
+    # the closure is orbit-stabilizer, O(p^2), so the sweep reaches twice as far
+    with criterion(7, "generating pairs with closure verification to p = 211", 120):
+        for p in range(17, 212):
+            if not is_prime(p):
+                continue
+            for d in range(6, 15):
+                if (p - 1) % d and (p + 1) % d:
+                    continue
+                A, B = sl2.build_generating_pair(p, d)
+                assert sl2.mat_order(sl2.commutator(A, B)) == d, (p, d)
+                assert sl2.closure_order(p, A, B, cap=211) == p * (p - 1) * (p + 1), (p, d)
+
+
 def test_criterion_8_enumerator_vs_theorems():
     with criterion(8, "exhaustive search vs classification", 900):
         # two equal zeros: existence at order 2g exactly for odd g

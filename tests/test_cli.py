@@ -27,6 +27,30 @@ def test_stratum_exists_json(capsys):
     assert payload["generators"] == [[1, 0], [0, 1]]
 
 
+def test_stratum_exists_psl_beyond_closure_cap(capsys):
+    # PSL(2,107) is past --sl2-cap; the answer needs no closure
+    code, payload = run_json(capsys, "stratum-exists", "H(53^11342)")
+    assert code == 0
+    assert payload["witness"] == "psl(107,108)"
+    assert payload["generators"] == [[5, 47, 7, 66], [0, 1, 106, 0]]
+
+
+def test_stratum_exists_large_strata_answer_fast(capsys):
+    import time
+
+    for stratum, witness, gens in (
+        ("H(10^200000)", "dp(sd(11,2,10),c(100000))", [[[1, 0], 1], [[0, 1], 0]]),
+        ("H(5^63004760)", "sd(12,31502380,11)", [[1, 0], [0, 1]]),
+    ):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "stratum-exists", stratum)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert (payload["stratum"], payload["witness"], payload["generators"]) == (
+            stratum, witness, gens)
+        assert elapsed < 0.3, f"{stratum} took {elapsed:.2f} s"
+
+
 def test_stratum_exists_not_exists(capsys):
     code, payload = run_json(capsys, "stratum-exists", "H(1,2)")
     assert code == 0
@@ -106,7 +130,7 @@ def test_regular_origami_rejects_out_of_range_gens(capsys):
 
 
 def test_regular_origami_rejects_malformed_gens(capsys):
-    for gens in ("1", "a,b", "1,2,3"):
+    for gens in ("", "1", "a,b", "1,2,3"):
         assert main(["regular-origami", "--group", "c(4)", f"--gens={gens}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -2,11 +2,15 @@
 
 import pytest
 
-from regori.errors import PreconditionViolated
+from regori import sl2, witnesses
+from regori.errors import InternalAssertion, PreconditionViolated
+from regori.groups import generates
 from regori.oracle import EXISTS, NOT_EXISTS, UNKNOWN, decide, decide_uniform
 from regori.origami import genus_of, regular_origami, stratum_of, translation_group
 from regori.strata import Stratum, parse_stratum, uniform_stratum
-from regori.witnesses import descriptor_order, materialize
+from regori.witnesses import certify, descriptor_order, generator_coords, materialize
+
+CHECKS = ("order", "commutator_order", "generation")
 
 
 def _decide(text):
@@ -134,3 +138,62 @@ def test_decide_uniform_rejects_empty_data():
     for k, l in ((0, 3), (3, 0), (-2, 2)):
         with pytest.raises(PreconditionViolated):
             decide_uniform(k, l)
+
+
+def test_certify_and_coords_agree_with_materialization_up_to_720():
+    # every Exists with (k+1)l <= 720: the symbolic certificate and
+    # coordinates against the built group, its origami and its stratum
+    heads = set()
+    for k in range(1, 720):
+        for l in range(1, 720 // (k + 1) + 1):
+            verdict = decide_uniform(k, l)
+            if not verdict.exists:
+                continue
+            desc = verdict.witness
+            assert certify(desc, k, l) == CHECKS, desc
+            G, x, y = materialize(desc)
+            assert generator_coords(desc) == [G.coords(x), G.coords(y)], desc
+            assert generates(G, (x, y)), desc
+            assert stratum_of(regular_origami(G, x, y)) == uniform_stratum(k, l), desc
+            heads.add(desc[: desc.index("(")])
+            if desc.startswith("dp("):
+                heads.add("dp/" + desc[3 : desc.index("(", 3)])
+    assert heads >= {"sd", "dp", "klein", "q8w", "psl", "dp/sd", "dp/klein", "dp/q8w"}
+
+
+def test_generator_coords_closed_forms():
+    assert generator_coords("c(5)") == [1, 0]
+    assert generator_coords("c(1)") == [0, 0]
+    assert generator_coords("psl(13,12)") == [[2, 4, 0, 7], [0, 1, 12, 0]]
+    assert generator_coords("klein(7)") == [[[1, 1, 0], 0], [[0, 0, 1], 1]]
+    assert generator_coords("q8w(1)") == [[[0, "i"], 0], [[0, "k"], 1]]
+    for desc in ("c(5)", "c(1)", "psl(13,12)", "klein(1)", "q8w(7)", "dp(psl(11,12),c(7))"):
+        G, x, y = materialize(desc)
+        assert generator_coords(desc) == [G.coords(x), G.coords(y)], desc
+
+
+def test_certify_rejects_wrong_claims():
+    assert certify("sd(11,5,3)", 10, 5) == CHECKS
+    with pytest.raises(InternalAssertion, match="order 55, not 44"):
+        certify("sd(11,5,3)", 10, 4)
+    with pytest.raises(InternalAssertion, match="commutator order 11, not 5"):
+        certify("sd(11,5,3)", 4, 11)
+    with pytest.raises(InternalAssertion, match="twist is ill-defined"):
+        certify("sd(11,5,2)", 10, 5)
+    with pytest.raises(InternalAssertion, match="no order-3 multiplier"):
+        certify("klein(5)", 9, 6)
+    # both generator orders of sd(9,3,4) share the factor 3 with c(3)
+    with pytest.raises(InternalAssertion, match="shares a factor"):
+        certify("dp(sd(9,3,4),c(3))", 2, 27)
+
+
+def test_certify_rejects_exceptional_psl_pair(monkeypatch):
+    # The order-6 commutator pair over F_17 found by
+    # test_mw_rejects_exceptional_subgroups: it generates a 48-element
+    # subgroup, yet |PSL(2,17)| = 3 * 816 and its commutator has projective
+    # order 3, so only the generation check can refuse psl(17,6) for H(2^816).
+    A, B = sl2.Mat2(17, 1, 2, 8, 0), sl2.standard_b(17)
+    assert sl2.closure_order(17, A, B) == 48
+    monkeypatch.setattr(witnesses, "_psl_pair", lambda p, d: (A, B))
+    with pytest.raises(InternalAssertion, match="does not generate SL"):
+        certify("psl(17,6)", 2, 816)

@@ -1,5 +1,7 @@
 """Matrix arithmetic over F_p and the generating-pair machinery."""
 
+import random
+
 import pytest
 
 from regori import sl2
@@ -89,6 +91,78 @@ def test_mw_rejects_exceptional_subgroups():
     A, B, size = found
     assert size <= 120
     assert sl2.mw_generates(17, A, B) is False
+
+
+def _closure_order_reference(p, A, B):
+    """|<A, B>| by breadth-first closure over all matrices, O(|<A, B>|)."""
+    gens = [(A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d)]
+    seen = {(1, 0, 0, 1)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for a, b, c, d in frontier:
+            for e, f, g, h in gens:
+                prod = ((a * e + b * g) % p, (a * f + b * h) % p,
+                        (c * e + d * g) % p, (c * f + d * h) % p)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        frontier = new
+    return len(seen)
+
+
+def _reference_pairs(p, rng):
+    """Seeded pairs from the identity, diagonal, Borel, exceptional and
+    generic subgroups of SL(2,p)."""
+    I = sl2.mat_identity(p)
+    B4 = sl2.standard_b(p)
+
+    def unit():
+        return rng.randrange(1, p)
+
+    def diagonal():
+        a = unit()
+        return sl2.Mat2(p, a, 0, 0, pow(a, -1, p))
+
+    def borel():
+        a = unit()
+        return sl2.Mat2(p, a, rng.randrange(p), 0, pow(a, -1, p))
+
+    def trace_one():
+        # order 6; with the order-4 B4 it generates a binary tetrahedral,
+        # octahedral or icosahedral group exactly when tr(A B4) is 0, +-1,
+        # a square root of 2 or a root of x^2 +- x - 1
+        a, b = rng.randrange(p), unit()
+        d = (1 - a) % p
+        return sl2.Mat2(p, a, b, (a * d - 1) * pow(b, -1, p) % p, d)
+
+    def generic():
+        a, b, c = unit(), rng.randrange(p), rng.randrange(p)
+        return sl2.Mat2(p, a, b, c, (1 + b * c) * pow(a, -1, p))
+
+    pairs = [(I, I), (I, sl2.mat_neg(I)), (B4, B4)]
+    for _ in range(4):
+        pairs += [(diagonal(), diagonal()), (borel(), borel()), (borel(), I)]
+    pairs += [(trace_one(), B4) for _ in range(40)]
+    pairs += [(generic(), generic()) for _ in range(3)]
+    return pairs
+
+
+def test_closure_order_matches_reference():
+    rng = random.Random(11)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        full = p * (p - 1) * (p + 1)
+        sizes = []
+        for A, B in _reference_pairs(p, rng):
+            size = sl2.closure_order(p, A, B)
+            assert size == _closure_order_reference(p, A, B), (A, B)
+            sizes.append(size)
+        # stabilizers of (1, 0) of order p and of order 1 both occur
+        assert any(size % p == 0 for size in sizes), p
+        assert any(size % p for size in sizes if size > 1), p
+        # a proper binary tetrahedral, octahedral or icosahedral subgroup
+        assert any(size in (24, 48, 120) and size < full for size in sizes), p
+        assert full in sizes, p
 
 
 def test_closure_orders():
@@ -210,9 +284,10 @@ def test_cli_import_leaves_numpy_unloaded():
         "from regori import sl2\n"
         "A, B = sl2.build_generating_pair(23, 6)\n"
         "print(sl2.closure_order(23, A, B))\n"
+        "print('numpy' in sys.modules)\n"
     )
     src = str(Path(regori.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["False", str(23 * (23 * 23 - 1))]
+    assert out == ["False", str(23 * (23 * 23 - 1)), "False"]

@@ -7,11 +7,17 @@ over sigma_v among uniform-cycle-type permutations.
 
 Two devices keep the tree small:
 
-* translation propagation: for every target square j, the translation
-  sending 0 to j is propagated through the determined edges; a conflict
-  kills the branch, and values it forces on sigma_v are applied at once
-  (this realizes the freeness prune: any word fixing a square must fix
-  them all);
+* translation propagation: for every target square j, the partial
+  translation sending 0 to j is kept across the whole search and grown
+  incrementally as sigma_v is set, with every change on an undo trail
+  that backtracking unwinds (the partial coset-table closure of low-index
+  search, Sims, *Computation with Finitely Presented Groups*, ch. 5). A
+  conflict kills the branch, and values it forces on sigma_v are applied
+  at once (this realizes the freeness prune: any word fixing a square
+  must fix them all). The rules are exactly those of rebuilding every
+  translation from scratch at each node, and no stronger: which origami
+  stands for each isomorphism class depends on the order in which the
+  search meets them, so a stronger prune would change the output;
 * cycle symmetry: permuting the untouched sigma_h-cycles commutes with
   sigma_h, so a choice entering fresh territory may as well land on the
   leader of the first untouched cycle.
@@ -28,7 +34,7 @@ from . import perms
 from .errors import BudgetExceeded
 from .groups import FiniteGroup, is_isomorphic
 from .numtheory import divisors
-from .origami import Origami, is_regular, stratum_of, translation_group
+from .origami import Origami, stratum_of, translation_group
 from .strata import Stratum
 
 DEFAULT_ENUM_BUDGET = 32
@@ -53,56 +59,6 @@ class EnumWitness:
 
 class _Conflict(Exception):
     pass
-
-
-def _propagate(n, sh, shi, sv, svi):
-    """Propagate all square-0 translations; return forced sigma_v values.
-
-    Raises _Conflict when some translation cannot exist, which no
-    completion of the partial sigma_v can repair.
-    """
-    forced = {}
-    for j in range(n):
-        tau = [-1] * n
-        used = [False] * n
-        tau[0] = j
-        used[j] = True
-        queue = [0]
-        while queue:
-            p = queue.pop()
-            tp = tau[p]
-            for f in (sh, shi):
-                q, tq = f[p], f[tp]
-                if tau[q] == -1:
-                    if used[tq]:
-                        raise _Conflict
-                    tau[q] = tq
-                    used[tq] = True
-                    queue.append(q)
-                elif tau[q] != tq:
-                    raise _Conflict
-            for f in (sv, svi):
-                q = f[p]
-                if q == -1:
-                    continue
-                gq = f[tp]
-                if gq != -1:
-                    if tau[q] == -1:
-                        if used[gq]:
-                            raise _Conflict
-                        tau[q] = gq
-                        used[gq] = True
-                        queue.append(q)
-                    elif tau[q] != gq:
-                        raise _Conflict
-                elif tau[q] != -1:
-                    # equivariance pins sigma_v at tau[p]: f(tp) must be tau[q]
-                    src, dst = (tp, tau[q]) if f is sv else (tau[q], tp)
-                    prev = forced.get(src)
-                    if prev is not None and prev != dst:
-                        raise _Conflict
-                    forced[src] = dst
-    return forced
 
 
 def _apply(sv, svi, cstart, cend, clen, b, p, q):
@@ -140,77 +96,223 @@ def _apply(sv, svi, cstart, cend, clen, b, p, q):
     clen[sp] += clen[q]
 
 
+class _PairState:
+    """A partial sigma_v beside sigma_h = (0..a-1)(a..2a-1)..., with undo.
+
+    For every target j = 1..n-1 it keeps the partial translation tau_j
+    sending square 0 to j, and its inverse, closed under three rules: an
+    edge of sigma_h or sigma_v at x whose image edge at tau_j(x) exists
+    assigns tau_j at the other end; tau_j stays injective; and an edge
+    x -> y of sigma_v with tau_j defined at both ends forces sigma_v at
+    tau_j(x) to be tau_j(y). Target 0 is the identity, which never
+    conflicts or forces anything.
+
+    A translation commutes with sigma_h, so it maps each sigma_h-cycle onto
+    one by a rotation: tau_j's domain grows a whole cycle at a time, and
+    the cycle of 0 is mapped onto the cycle of j from the start. Setting
+    sigma_v(p) = q changes the rules only at p, q, tau_j^-1(p) and
+    tau_j^-1(q), so only those points are visited, plus each point that
+    enters a domain. Every change goes on one undo trail.
+    """
+
+    def __init__(self, n, a, b):
+        self.n, self.a, self.b = n, a, b
+        self.sv = [-1] * n
+        self.svi = [-1] * n
+        self.cstart = list(range(n))
+        self.cend = list(range(n))
+        self.clen = [1] * n
+        self.assigned = 0
+        # sigma_v edge ends in each sigma_h-cycle: the cycle-symmetry prune
+        # lets only touched cycles and one fresh leader be chosen; the cycle
+        # of 0 counts as touched from the start
+        self.touched = [0] * (n // a)
+        self.touched[0] = 1
+        self.targets = []  # (tau_j, tau_j^-1) for j = 1..n-1
+        for j in range(1, n):
+            t, ti = [-1] * n, [-1] * n
+            base = j - j % a
+            for i in range(a):
+                w = base + (j + i) % a
+                t[i], ti[w] = w, i
+            self.targets.append((t, ti))
+        # p for sigma_v(p) being set; (tau_j, tau_j^-1, first square of the
+        # cycle, first square of its image) for a sigma_h-cycle entering
+        # tau_j's domain
+        self.trail = []
+        self.forced = {}
+
+    def extend(self, p, q):
+        """Set sigma_v(p) = q and every value it forces; _Conflict when a
+        translation can no longer exist."""
+        todo = [(p, q)]
+        while todo:
+            for fp, fq in todo:
+                self.set(fp, fq)
+            todo = self.pending()
+
+    def pending(self) -> list:
+        """The sigma_v values forced since the last call and still unset."""
+        sv = self.sv
+        todo = [(fp, fq) for fp, fq in self.forced.items() if sv[fp] == -1]
+        self.forced = {}
+        return todo
+
+    def set(self, p, q):
+        """sigma_v(p) = q, then every consequence for the translations."""
+        sv, svi, a = self.sv, self.svi, self.a
+        if sv[p] == q:
+            return
+        _apply(sv, svi, self.cstart, self.cend, self.clen, self.b, p, q)
+        self.trail.append(p)
+        self.assigned += 1
+        self.touched[p // a] += 1
+        self.touched[q // a] += 1
+        forced, close = self.forced, self._close
+        todo = []  # (y, g): tau_j(y) must be g
+        for t, ti in self.targets:
+            # the new edge p -> q where tau_j is defined at either end
+            tp, tq = t[p], t[q]
+            if tp != -1:
+                g = sv[tp]
+                if g == -1:
+                    # pins sigma_v(tp) = tq; a used tq is the conflict the
+                    # rule at q would find
+                    if tq != -1 and (svi[tq] != -1 or forced.setdefault(tp, tq) != tq):
+                        raise _Conflict
+                elif tq != g:
+                    todo.append((q, g))
+            elif tq != -1:
+                g = svi[tq]
+                if g != -1:
+                    todo.append((p, g))
+            # the edges that tau_j maps onto p -> q
+            u = ti[p]
+            if u != -1:
+                y = sv[u]
+                if y != -1 and t[y] != q:
+                    todo.append((y, q))
+            u = ti[q]
+            if u != -1:
+                y = svi[u]
+                if y != -1 and t[y] != p:
+                    todo.append((y, p))
+            if todo:
+                close(t, ti, todo)
+
+    def _close(self, t, ti, todo):
+        """Meet the (y, g) demands on tau_j and whatever the new points imply;
+        todo is left empty."""
+        sv, svi, a, forced = self.sv, self.svi, self.a, self.forced
+        while todo:
+            y, g = todo.pop()
+            ty = t[y]
+            if ty != -1:
+                if ty != g:
+                    raise _Conflict
+                continue
+            if ti[g] != -1:
+                raise _Conflict
+            # the sigma_h-cycle of y enters the domain, rotated onto that of g
+            yb, gb = y - y % a, g - g % a
+            shift = g - gb - (y - yb)
+            self.trail.append((t, ti, yb, gb))
+            for x in range(yb, yb + a):
+                # an edge to a square of the cycle not yet placed is checked
+                # again from that square
+                tx = gb + (x - yb + shift) % a
+                t[x], ti[tx] = tx, x
+                y = sv[x]
+                if y != -1:
+                    g, ty = sv[tx], t[y]
+                    if g != -1:
+                        if ty != g:
+                            todo.append((y, g))
+                    elif ty != -1 and (svi[ty] != -1 or forced.setdefault(tx, ty) != ty):
+                        raise _Conflict
+                y = svi[x]
+                if y != -1:
+                    g, ty = svi[tx], t[y]
+                    if g != -1:
+                        if ty != g:
+                            todo.append((y, g))
+                    elif ty != -1 and (sv[ty] != -1 or forced.setdefault(ty, tx) != tx):
+                        raise _Conflict
+
+    def undo(self, mark):
+        """Unwind the trail to its length `mark`, dropping pending forces."""
+        self.forced = {}
+        a, trail, blank = self.a, self.trail, [-1] * self.a
+        sv, svi, cstart, cend, clen = self.sv, self.svi, self.cstart, self.cend, self.clen
+        while len(trail) > mark:
+            e = trail.pop()
+            if type(e) is tuple:
+                t, ti, yb, gb = e
+                t[yb:yb + a] = ti[gb:gb + a] = blank
+                continue
+            p = e
+            q = sv[p]
+            sv[p] = svi[q] = -1
+            self.assigned -= 1
+            self.touched[p // a] -= 1
+            self.touched[q // a] -= 1
+            sp = cstart[p]
+            if q == sp:
+                continue  # it closed a cycle
+            # split the chain sp..p q..end back in two
+            end_q = cend[sp]
+            r = q
+            while True:
+                cstart[r] = q
+                if r == end_q:
+                    break
+                r = sv[r]
+            cend[sp] = p
+            clen[sp] -= clen[q]
+
+
 def _enumerate_pairs(n, a, b):
     """Yield completed sigma_v's for sigma_h of type a^(n/a), sigma_v of type b^(n/b)."""
     sh = perms.uniform_cycles(n, a)
-    shi = perms.invert(sh)
     if b == 1:
         if a == n:
             yield sh, perms.identity(n)
         return
 
     ncyc = n // a
+    st = _PairState(n, a, b)
+    sv, svi, cstart, clen, touched = st.sv, st.svi, st.cstart, st.clen, st.touched
 
-    def rec(sv, svi, cstart, cend, clen, frozen, assigned):
-        if assigned == n:
+    def rec():
+        if st.assigned == n:
             yield tuple(sv)
             return
-        p = next(i for i in range(n) if sv[i] == -1)
+        p = sv.index(-1)
         pcyc = p // a
-        eff_frozen = frozen | {pcyc}
-        fresh_leader = next((c * a for c in range(ncyc) if c not in eff_frozen), None)
+        fresh_leader = next((c * a for c in range(ncyc) if not touched[c] and c != pcyc), None)
+        sp = cstart[p]
         cands = []
         for q in range(n):
             if svi[q] != -1 or q == p:
                 continue
-            if q // a not in eff_frozen and q != fresh_leader:
+            if not touched[q // a] and q // a != pcyc and q != fresh_leader:
                 continue
-            sp = cstart[p]
             if cstart[q] == sp:
                 if q == sp and clen[sp] == b:
                     cands.append(q)
             elif cstart[q] == q and clen[sp] + clen[q] <= b:
                 cands.append(q)
         for q in cands:
-            state = _snapshot(sv, svi, cstart, cend, clen, frozen)
+            mark = len(st.trail)
             try:
-                _apply(sv, svi, cstart, cend, clen, b, p, q)
-                frozen.add(pcyc)
-                frozen.add(q // a)
-                count = assigned + 1
-                while True:
-                    forced = _propagate(n, sh, shi, sv, svi)
-                    todo = [(fp, fq) for fp, fq in forced.items() if sv[fp] == -1]
-                    if not todo:
-                        break
-                    for fp, fq in todo:
-                        _apply(sv, svi, cstart, cend, clen, b, fp, fq)
-                        frozen.add(fp // a)
-                        frozen.add(fq // a)
-                        count += 1
-                yield from rec(sv, svi, cstart, cend, clen, frozen, count)
+                st.extend(p, q)
+                yield from rec()
             except _Conflict:
                 pass
-            _restore(state, sv, svi, cstart, cend, clen, frozen)
+            st.undo(mark)
 
-    sv = [-1] * n
-    svi = [-1] * n
-    cstart = list(range(n))
-    cend = list(range(n))
-    clen = [1] * n
-    frozen = {0}
-    for svt in rec(sv, svi, cstart, cend, clen, frozen, 0):
+    for svt in rec():
         yield sh, svt
-
-
-def _snapshot(sv, svi, cstart, cend, clen, frozen):
-    return (sv[:], svi[:], cstart[:], cend[:], clen[:], set(frozen))
-
-
-def _restore(state, sv, svi, cstart, cend, clen, frozen):
-    sv[:], svi[:], cstart[:], cend[:], clen[:] = state[0], state[1], state[2], state[3], state[4]
-    frozen.clear()
-    frozen.update(state[5])
 
 
 def _pairs_for_block(args) -> list:
@@ -229,6 +331,8 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
     """
     if n < 1:
         raise ValueError(f"square count must be at least 1, got {n}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     if n > budget:
         raise BudgetExceeded(f"square count {n} beyond budget {budget}")
     blocks = [(n, a, b) for a in divisors(n) for b in divisors(n)]
@@ -245,14 +349,15 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
             if not perms.is_transitive_pair(sh, sv):
                 continue
             o = Origami(sh, sv)
-            if not is_regular(o):
+            T = translation_group(o)
+            if T.order != n:
                 continue
             # The pair generates a regular group, anti-isomorphic to its
             # centralizer, the translations (Dixon & Mortimer, Thm 4.2A); sh
             # and sv map to the translations moving square 0 as they do, at
             # indices sh[0] and sv[0]. Isomorphism class and commutator
             # order are kept.
-            raw.append(EnumWitness(o, translation_group(o), sh[0], sv[0], stratum_of(o)))
+            raw.append(EnumWitness(o, T, sh[0], sv[0], stratum_of(o)))
     kept = []
     for w in raw:
         dup = False

@@ -32,6 +32,7 @@ class FiniteGroup:
         self.perms = perms_list
         self._inv = {}
         self._orders = {}
+        self._root_spectrum = None
 
     def __repr__(self):
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -88,13 +89,26 @@ class FiniteGroup:
             for b in range(a + 1, self.order)
         )
 
-    def order_spectrum(self) -> tuple:
-        """Sorted (order, count) pairs over all elements; an isomorphism invariant."""
-        counts = {}
-        for a in self.elements():
-            o = self.element_order(a)
-            counts[o] = counts.get(o, 0) + 1
-        return tuple(sorted(counts.items()))
+    def root_spectrum(self) -> tuple:
+        """Sorted ((order, number of square roots), count) pairs over all
+        elements; an isomorphism invariant.
+
+        It refines the order spectrum: Z/4 x Z/4 and Z/4 : Z/4 have the
+        same element orders, but only in the first does every square have
+        four roots. Among the regular origamis on 32 squares it tells apart
+        every pair of non-isomorphic translation groups that the
+        enumerator's dedup compares.
+        """
+        if self._root_spectrum is None:
+            roots = [0] * self.order
+            for a in self.elements():
+                roots[self._mul(a, a)] += 1
+            counts = {}
+            for a in self.elements():
+                key = (self.element_order(a), roots[a])
+                counts[key] = counts.get(key, 0) + 1
+            self._root_spectrum = tuple(sorted(counts.items()))
+        return self._root_spectrum
 
     def right_translation(self, x: int) -> tuple:
         """The permutation g -> g*x of the element indices."""
@@ -309,7 +323,12 @@ def _iter_isomorphisms(G: FiniteGroup, H: FiniteGroup, gens):
     pools = []
     for o in orders:
         pools.append([b for b in H.elements() if H.element_order(b) == o])
+    # a homomorphism also keeps the order of each product of two generators
+    pairs = [(i, k, G.element_order(G.mul(gens[i], gens[k])))
+             for i in range(len(gens)) for k in range(i + 1, len(gens))]
     for images in product(*pools):
+        if any(H.element_order(H.mul(images[i], images[k])) != o for i, k, o in pairs):
+            continue
         f = _hom_extension_images(G, H, gens, images)
         if f is None:
             continue
@@ -336,7 +355,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, bound: int = DEFAULT_ISO_BOUND
         raise BudgetExceeded(f"orders {G.order}, {H.order} beyond bound {bound}")
     if G.order != H.order:
         return False
-    if G.order_spectrum() != H.order_spectrum():
+    if G.root_spectrum() != H.root_spectrum():
         return False
     gens = generating_set(G)
     for _ in _iter_isomorphisms(G, H, gens):

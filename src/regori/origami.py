@@ -177,18 +177,20 @@ def translation_group(o: Origami) -> FiniteGroup:
     """The translations as an indexed group; they are already closed.
 
     Element i is translations(o)[i], so on a regular origami element j is
-    the translation sending square 0 to j.
+    the translation sending square 0 to j. A translation is determined by
+    the image of square 0, so a product is found from where it sends 0,
+    without composing permutations.
     """
     taus = translations(o)
-    index = {t: i for i, t in enumerate(taus)}
+    pos = {t[0]: i for i, t in enumerate(taus)}
 
-    def mul(a, b, _taus=taus, _index=index):
-        return _index[perms.compose(_taus[a], _taus[b])]
+    def mul(a, b, _taus=taus, _pos=pos):
+        return _pos[_taus[a][_taus[b][0]]]
 
     return FiniteGroup(
         len(taus),
         mul,
-        identity=index[perms.identity(o.n)],
+        identity=pos[0],
         label=f"translations of {o.n}-square origami",
         perms_list=taus,
     )

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .groups import FiniteGroup
-from .numtheory import factorize, is_prime
+from .numtheory import _sqrt_table, factorize, is_prime
 
 DEFAULT_SL2_CAP = 101
 
@@ -245,11 +245,7 @@ def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
 
 def _two_square_reps(p: int, a: int):
     """All (s, t) with s, t nonzero and s^2 + t^2 = a mod p, scan order."""
-    roots = {}
-    for t in range(p):
-        sq = t * t % p
-        if sq not in roots:
-            roots[sq] = t
+    roots = _sqrt_table(p)
     for s in range(1, p):
         t = roots.get((a - s * s) % p)
         if t:

@@ -168,6 +168,14 @@ def test_enumerate_rejects_nonpositive_n(capsys):
         assert "square count must be at least 1" in captured.err
 
 
+def test_enumerate_rejects_nonpositive_workers(capsys):
+    for workers in ("0", "-2"):
+        assert main(["--workers", workers, "enumerate", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "worker count must be at least 1" in captured.err
+
+
 def test_enumerate_csv(capsys):
     code, out = run(capsys, "--output", "csv", "enumerate", "6")
     assert code == 0

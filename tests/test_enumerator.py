@@ -13,6 +13,12 @@ def test_budget():
         enumerate_regular(40)
 
 
+def test_rejects_nonpositive_workers():
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="worker count"):
+            enumerate_regular(6, workers=workers)
+
+
 def test_six_squares_has_dihedral_witness():
     ws = enumerate_regular(6)
     hits = witnesses_for_stratum(ws, parse_stratum("H(2^2)"))
@@ -156,3 +162,130 @@ def test_stratum_existence_matches_two_zero_rule():
             assert hits, n
         else:
             assert not hits, n
+
+
+def _propagate_reference(n, sh, shi, sv, svi):
+    """Every square-0 translation rebuilt from scratch; the forced sigma_v values.
+
+    Raises _Conflict when some translation cannot exist, which no
+    completion of the partial sigma_v can repair.
+    """
+    from regori.enumerator import _Conflict
+
+    forced = {}
+    for j in range(n):
+        tau = [-1] * n
+        used = [False] * n
+        tau[0] = j
+        used[j] = True
+        queue = [0]
+        while queue:
+            p = queue.pop()
+            tp = tau[p]
+            for f in (sh, shi):
+                q, tq = f[p], f[tp]
+                if tau[q] == -1:
+                    if used[tq]:
+                        raise _Conflict
+                    tau[q] = tq
+                    used[tq] = True
+                    queue.append(q)
+                elif tau[q] != tq:
+                    raise _Conflict
+            for f in (sv, svi):
+                q = f[p]
+                if q == -1:
+                    continue
+                gq = f[tp]
+                if gq != -1:
+                    if tau[q] == -1:
+                        if used[gq]:
+                            raise _Conflict
+                        tau[q] = gq
+                        used[gq] = True
+                        queue.append(q)
+                    elif tau[q] != gq:
+                        raise _Conflict
+                elif tau[q] != -1:
+                    # equivariance pins sigma_v at tau[p]: f(tp) must be tau[q]
+                    src, dst = (tp, tau[q]) if f is sv else (tau[q], tp)
+                    prev = forced.get(src)
+                    if prev is not None and prev != dst:
+                        raise _Conflict
+                    forced[src] = dst
+    return forced
+
+
+def _reference_round(n, b, sh, shi, state, batch):
+    """Set the batch on a copy of state, then rebuild: (new state, forced or None)."""
+    from regori.enumerator import _apply, _Conflict
+
+    state = tuple(list(s) for s in state)
+    try:
+        for p, q in batch:
+            _apply(*state, b, p, q)
+        return state, _propagate_reference(n, sh, shi, state[0], state[1])
+    except _Conflict:
+        return state, None
+
+
+def _random_walk(n, a, b, rng, stats):
+    """Descend a random search path, comparing every round with the rebuild.
+
+    At each node a random sigma_v(p) = q is tried and its forced values are
+    set round by round, as the search does; a conflict undoes the try and
+    the next q is tried. The path ends when sigma_v is complete or every q
+    conflicts.
+    """
+    from regori import perms
+    from regori.enumerator import _Conflict, _PairState
+
+    sh = perms.uniform_cycles(n, a)
+    shi = perms.invert(sh)
+    st = _PairState(n, a, b)
+    bookkeeping = lambda: (st.sv, st.svi, st.cstart, st.cend, st.clen)
+    ref = tuple(list(s) for s in bookkeeping())
+    while st.assigned < n:
+        p = st.sv.index(-1)
+        cands = [q for q in range(n) if st.svi[q] == -1]
+        rng.shuffle(cands)
+        for q in cands:
+            mark = len(st.trail)
+            taus = [(t[:], ti[:]) for t, ti in st.targets]
+            batch, state = [(p, q)], ref
+            while batch:
+                state, expected = _reference_round(n, b, sh, shi, state, batch)
+                try:
+                    for fp, fq in batch:
+                        st.set(fp, fq)
+                    got = dict(st.pending())
+                except _Conflict:
+                    got = None
+                assert got == expected, (n, a, b, batch)
+                stats["conflicts" if got is None else "forced" if got else "quiet"] += 1
+                batch = list(got.items()) if got else []
+            if got is not None:
+                ref = state
+                break
+            st.undo(mark)
+            assert bookkeeping() == ref
+            assert [(t[:], ti[:]) for t, ti in st.targets] == taus
+        else:
+            return
+
+
+@pytest.mark.parametrize("n", (12, 16, 18, 24))
+def test_incremental_propagation_matches_rebuild(n):
+    import random
+    from collections import Counter
+
+    from regori.numtheory import divisors
+
+    stats = Counter()
+    for a in divisors(n):
+        for b in divisors(n):
+            if b == 1:
+                continue  # sigma_v is the identity; nothing is searched
+            for walk in range(3):
+                _random_walk(n, a, b, random.Random(f"{n},{a},{b},{walk}"), stats)
+    assert min(stats["conflicts"], stats["forced"], stats["quiet"]) > 0, stats

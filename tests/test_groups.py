@@ -135,6 +135,19 @@ def test_isomorphism_examples():
     assert is_isomorphic(cyclic(6), direct_product(cyclic(2), cyclic(3)))
 
 
+def test_root_spectrum_separates_equal_order_spectra():
+    # Z/4 x Z/4 and Z/4 : Z/4 have the same element orders; the numbers of
+    # square roots tell them apart without an isomorphism search
+    A = direct_product(cyclic(4), cyclic(4))
+    B = semidirect_cyclic(4, 4, 3)
+    orders = lambda G: sorted(G.element_order(a) for a in G.elements())
+    assert orders(A) == orders(B)
+    assert A.root_spectrum() != B.root_spectrum()
+    assert not is_isomorphic(A, B)
+    C6, C2xC3 = cyclic(6), direct_product(cyclic(2), cyclic(3))
+    assert C6.root_spectrum() == C2xC3.root_spectrum()
+
+
 def test_involution_counts_separate_d8_q8():
     D8, Q8 = two_group("D", 3), two_group("Dic", 3)
     count = lambda G: sum(1 for a in G.elements() if G.element_order(a) == 2)

@@ -290,6 +290,27 @@ def test_random_covers_have_translations_and_dead_targets():
     assert any(t == n > 1 for t, n in counts)
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: _random_origamis(seed=2024, count=1500),
+        lambda: [one_cylinder(g) for g in range(2, 31)],
+    ],
+    ids=["random", "one_cylinder"],
+)
+def test_translation_group_product_is_composition(family):
+    # the product reads where a translation sends square 0; it must agree
+    # with composing the permutations, also when 1 < |T| < n
+    for o in family():
+        T = translation_group(o)
+        taus = T.perms
+        index = {t: i for i, t in enumerate(taus)}
+        assert T.identity == index[perms.identity(o.n)]
+        for a in range(T.order):
+            for b in range(T.order):
+                assert T.mul(a, b) == index[perms.compose(taus[a], taus[b])], o.serialize()
+
+
 def test_translation_order_large_regular_origami(capsys):
     from regori.cli import main
 

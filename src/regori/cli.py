@@ -7,16 +7,12 @@ Exit codes: 0 success, 1 reference-row mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
-from . import enumerator, numtheory, oracle, search, sl2, tables, witnesses
-from .errors import RegoriError
-from .origami import genus_of, one_cylinder, regular_origami, stratum_of, translation_order
-from .strata import parse_stratum
+from .errors import BudgetExceeded, RegoriError
 
 
 def _worker_default() -> int:
@@ -47,8 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
         out=None,
         workers=_worker_default(),
         closure_budget=100_000,
-        enum_budget=enumerator.DEFAULT_ENUM_BUDGET,
-        sl2_cap=sl2.DEFAULT_SL2_CAP,
+        # None: the enumerator's or sl2's own default, read by the command
+        # that uses it, so that building the parser imports neither module
+        enum_budget=None,
+        sl2_cap=None,
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -102,6 +100,8 @@ def _emit(args, payload: dict, rows=None, row_header=None) -> None:
     if args.output == "json":
         text = json.dumps(payload)
     elif args.output == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         if rows is None:
@@ -122,8 +122,11 @@ def _emit(args, payload: dict, rows=None, row_header=None) -> None:
                 lines.append("  ".join(str(_csv_cell(v)).ljust(w) for v, w in zip(row, widths)))
             text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -137,6 +140,9 @@ def _csv_cell(v):
 
 
 def _cmd_stratum_exists(args) -> int:
+    from . import oracle, witnesses
+    from .strata import parse_stratum
+
     stratum = parse_stratum(args.stratum)
     verdict = oracle.decide(stratum)
     payload = {"stratum": str(stratum), "status": verdict.status}
@@ -151,6 +157,8 @@ def _cmd_stratum_exists(args) -> int:
 
 
 def _cmd_t_of_g(args) -> int:
+    from . import search
+
     bound = search.t_of_g(args.g, budget=args.budget)
     if bound.exact:
         payload = {
@@ -175,6 +183,8 @@ def _cmd_t_of_g(args) -> int:
 
 
 def _cmd_one_cylinder(args) -> int:
+    from .origami import one_cylinder, stratum_of, translation_order
+
     o = one_cylinder(args.g)
     payload = {
         "g": args.g,
@@ -187,7 +197,8 @@ def _cmd_one_cylinder(args) -> int:
 
 
 def _cmd_regular_origami(args) -> int:
-    from .errors import BudgetExceeded
+    from . import witnesses
+    from .origami import genus_of, regular_origami, stratum_of, translation_order
 
     if witnesses.descriptor_order(args.group) > args.closure_budget:
         raise BudgetExceeded(
@@ -219,6 +230,9 @@ def _cmd_regular_origami(args) -> int:
 
 
 def _cmd_psl_pair(args) -> int:
+    from . import sl2
+
+    cap = sl2.DEFAULT_SL2_CAP if args.sl2_cap is None else args.sl2_cap
     A, B = sl2.build_generating_pair(args.p, args.d)
     comm = sl2.commutator(A, B)
     payload = {
@@ -227,13 +241,15 @@ def _cmd_psl_pair(args) -> int:
         "A": str(A),
         "B": str(B),
         "commutator_order": sl2.mat_order(comm),
-        "closure_order": sl2.closure_order(args.p, A, B, cap=args.sl2_cap),
+        "closure_order": sl2.closure_order(args.p, A, B, cap=cap),
     }
     _emit(args, payload)
     return 0
 
 
 def _cmd_progression(args) -> int:
+    from . import numtheory
+
     system = numtheory.progression_for_m(args.m)
     payload = {"modulus": system.modulus, "residues": list(system.residues)}
     _emit(args, payload)
@@ -241,6 +257,8 @@ def _cmd_progression(args) -> int:
 
 
 def _cmd_semidirect_exists(args) -> int:
+    from . import numtheory
+
     w = numtheory.semidirect_exists(args.u, args.l)
     payload = {"u": args.u, "l": args.l}
     if w is None:
@@ -253,7 +271,10 @@ def _cmd_semidirect_exists(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    found = enumerator.enumerate_regular(args.n, budget=args.enum_budget, workers=args.workers)
+    from . import enumerator
+
+    budget = enumerator.DEFAULT_ENUM_BUDGET if args.enum_budget is None else args.enum_budget
+    found = enumerator.enumerate_regular(args.n, budget=budget, workers=args.workers)
     rows = [
         (str(w.stratum), w.group_order, w.commutator_order, w.origami.serialize())
         for w in found
@@ -276,11 +297,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import tables
+
     if args.which == "appendix-a":
         keys = [int(v) for v in args.rows.split(",")] if args.rows else None
         reports = tables.report_small_genus(rows=keys, budget=args.budget)
         header = ("g", "expected", "computed", "match", "note")
     else:
+        if args.m_max < 1:
+            raise ValueError(f"--m-max must be at least 1, got {args.m_max}")
         reports = tables.report_summary(args.m_max)
         header = ("m", "expected", "computed", "match", "note")
     rows = [
@@ -304,6 +329,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify_appendix_b(args) -> int:
+    from . import numtheory
+
+    if args.umax < 3 or args.lmax < 1:
+        raise ValueError(f"need umax >= 3 and lmax >= 1, got {args.umax} and {args.lmax}")
     mismatches = []
     checked = 0
     for u in range(3, args.umax + 1, 2):

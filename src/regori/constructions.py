@@ -7,35 +7,13 @@ order-3 twist families built over the Klein group and the quaternions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidAction, InternalAssertion, NoSuchAction, OutOfRange
-from .groups import FiniteGroup, derived_subgroup, generates
+from .errors import InternalAssertion, NoSuchAction, OutOfRange
+from .groups import FiniteGroup, generates
+from .numtheory import check_twist
 
 TWO_GROUP_FAMILIES = ("cyclic", "cyclic_x_z2", "M", "D", "SD", "Dic")
-
-
-@dataclass(frozen=True)
-class SemidirectSpec:
-    """Data for Z/m twisted by Z/n acting through multiplication by d."""
-
-    m: int
-    n: int
-    d: int
-
-    def validate(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidAction("moduli must be positive")
-        if self.m == 1:
-            return
-        d = self.d % self.m
-        if gcd(d, self.m) != 1:
-            raise InvalidAction(f"multiplier {self.d} not invertible mod {self.m}")
-        if pow(d, self.n, self.m) != 1:
-            raise InvalidAction(
-                f"{self.d}^{self.n} is not 1 mod {self.m}: the twist is ill-defined"
-            )
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -68,11 +46,11 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 def semidirect_cyclic(m: int, n: int, d: int) -> FiniteGroup:
     """Z/m twisted by Z/n: (a1,b1)(a2,b2) = (a1 + d^b1 * a2, b1 + b2)."""
-    spec = SemidirectSpec(m, n, d % m if m > 1 else 0)
-    spec.validate()
+    d = d % m if m > 1 else 0
+    check_twist(m, n, d)
     powers = [1 % m]
     for _ in range(n - 1):
-        powers.append(powers[-1] * spec.d % m)
+        powers.append(powers[-1] * d % m)
 
     def mul(x, y, _m=m, _n=n, _powers=powers):
         a1, b1 = divmod(x, _n)
@@ -84,7 +62,7 @@ def semidirect_cyclic(m: int, n: int, d: int) -> FiniteGroup:
         return [a, b]
 
     return FiniteGroup(
-        m * n, mul, identity=0, label=f"Z/{m} : Z/{n} (mult {spec.d})", coords=coords
+        m * n, mul, identity=0, label=f"Z/{m} : Z/{n} (mult {d})", coords=coords
     )
 
 
@@ -281,7 +259,3 @@ def q8_witness(lam: int):
 def metacyclic_derived_order(m: int, n: int, d: int) -> int:
     """Expected |G'| for semidirect_cyclic(m, n, d): m / gcd(d - 1, m)."""
     return m // gcd(d - 1, m)
-
-
-def derived_order(G: FiniteGroup) -> int:
-    return derived_subgroup(G).order

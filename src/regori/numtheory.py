@@ -3,13 +3,15 @@ two-square representations, and the semidirect existence criterion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import (
     BudgetExceeded,
+    CoprimalityViolated,
     IncompatibleCongruences,
     InternalAssertion,
+    InvalidAction,
     InvalidModulus,
     PreconditionViolated,
 )
@@ -95,12 +97,10 @@ def crt_solve(congruences) -> tuple:
     return r, m
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
+class ResidueSystem(namedtuple("ResidueSystem", "modulus residues")):
     """A modulus with the set of invertible residues cut out by a congruence family."""
 
-    modulus: int
-    residues: tuple
+    __slots__ = ()
 
     def __contains__(self, n: int) -> bool:
         return n % self.modulus in self.residues
@@ -230,11 +230,21 @@ def sum_two_squares(p: int, a: int):
     raise InternalAssertion(f"no disjoint two-square representations for {a} mod {p}")
 
 
-@dataclass(frozen=True)
-class SemidirectWitness:
-    m: int
-    n: int
-    d: int
+# Z/m twisted by Z/n through multiplication by d
+SemidirectWitness = namedtuple("SemidirectWitness", "m n d")
+
+
+def check_twist(m: int, n: int, d: int) -> None:
+    """Raise InvalidAction unless multiplication by d is an action of Z/n on
+    Z/m: d invertible mod m and d^n = 1 mod m."""
+    if m < 1 or n < 1:
+        raise InvalidAction("moduli must be positive")
+    if m == 1:
+        return
+    if gcd(d, m) != 1:
+        raise InvalidAction(f"multiplier {d} not invertible mod {m}")
+    if pow(d, n, m) != 1:
+        raise InvalidAction(f"{d}^{n} is not 1 mod {m}: the twist is ill-defined")
 
 
 def semidirect_criterion(u: int, l: int) -> bool:
@@ -317,3 +327,30 @@ def semidirect_exists_bruteforce(u: int, l: int):
             if gcd(d - 1, m) == target and pow(d, n, m) == 1:
                 return SemidirectWitness(m, n, d)
     return None
+
+
+def split_coprime(k: int, a: int, b: int) -> tuple:
+    """Write k = t*s with t coprime to a, s coprime to b, t coprime to s.
+
+    Needs gcd(k, gcd(a, b)) = 1: each prime power of k avoids a or b.
+    """
+    if gcd(k, gcd(a, b)) != 1:
+        raise CoprimalityViolated(
+            f"{k} shares a factor with both generator orders {a} and {b}"
+        )
+    t = s = 1
+    for p, e in factorization(k).items():
+        if a % p:
+            t *= p ** e
+        else:
+            s *= p ** e
+    return t, s
+
+
+def split_residues(k: int, a: int, b: int) -> tuple:
+    """(u, v) in 0..k-1 with u = 1 mod t, 0 mod s and v = 0 mod t, 1 mod s,
+    for the split k = t*s of `split_coprime(k, a, b)`."""
+    t, s = split_coprime(k, a, b)
+    u, _ = crt_solve([(1, t), (0, s)])
+    v, _ = crt_solve([(0, t), (1, s)])
+    return u, v

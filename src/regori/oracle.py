@@ -10,7 +10,7 @@ a separate, heavier step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionViolated
 from .numtheory import divisors, factorize, is_prime, semidirect_exists
@@ -26,11 +26,11 @@ UNKNOWN = "unknown"
 PSL_WITNESS_CAP = 1000
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
-    status: str
-    witness: str | None = None
-    reason: str | None = None
+class ExistenceVerdict(namedtuple("ExistenceVerdict", "status witness reason",
+                                  defaults=(None, None))):
+    """status, the witness descriptor of an `exists`, the rule of a `not_exists`."""
+
+    __slots__ = ()
 
     @property
     def exists(self) -> bool:

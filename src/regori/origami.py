@@ -9,10 +9,9 @@ multiplication free to act as translations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import perms
-from .errors import CoprimalityViolated, InvalidGenus
+from .errors import InvalidGenus
 from .groups import FiniteGroup, require_generating_pair
 from .strata import Stratum
 
@@ -214,48 +213,6 @@ def one_cylinder(g: int) -> Origami:
     return Origami(sigma_h, sigma_v)
 
 
-def split_coprime(k: int, a: int, b: int) -> tuple:
-    """Write k = t*s with t coprime to a, s coprime to b, t coprime to s.
-
-    Needs gcd(k, gcd(a, b)) = 1: each prime power of k avoids a or b.
-    """
-    if gcd(k, gcd(a, b)) != 1:
-        raise CoprimalityViolated(
-            f"{k} shares a factor with both generator orders {a} and {b}"
-        )
-    t = s = 1
-    rest = k
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            q = 1
-            while rest % p == 0:
-                q *= p
-                rest //= p
-            if a % p:
-                t *= q
-            else:
-                s *= q
-        p += 1
-    if rest > 1:
-        if a % rest:
-            t *= rest
-        else:
-            s *= rest
-    return t, s
-
-
-def split_residues(k: int, a: int, b: int) -> tuple:
-    """(u, v) in 0..k-1 with u = 1 mod t, 0 mod s and v = 0 mod t, 1 mod s,
-    for the split k = t*s of `split_coprime(k, a, b)`."""
-    from .numtheory import crt_solve
-
-    t, s = split_coprime(k, a, b)
-    u, _ = crt_solve([(1, t), (0, s)])
-    v, _ = crt_solve([(0, t), (1, s)])
-    return u, v
-
-
 def extend_by_cyclic(G: FiniteGroup, x: int, y: int, k: int) -> tuple:
     """Extend (G, x, y) to (G x Z/k, a, b) preserving the commutator order.
 
@@ -264,6 +221,7 @@ def extend_by_cyclic(G: FiniteGroup, x: int, y: int, k: int) -> tuple:
     keeps the zero order and multiplies the multiplicity by k.
     """
     from .constructions import cyclic, direct_product
+    from .numtheory import split_residues
 
     u, v = split_residues(k, G.element_order(x), G.element_order(y))
     H = direct_product(G, cyclic(k))

@@ -18,7 +18,6 @@ from .errors import (
     OrderTooSmall,
     PreconditionViolated,
 )
-from .groups import FiniteGroup
 from .numtheory import _sqrt_table, factorize, is_prime
 
 DEFAULT_SL2_CAP = 101
@@ -311,6 +310,8 @@ def psl_group(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP):
     The full matrix closure is built first; classes {M, -M} are numbered by
     their smaller encoding, discovery order. Returns (group, a, b).
     """
+    from .groups import FiniteGroup
+
     if p > cap:
         raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)

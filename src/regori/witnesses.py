@@ -19,8 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import constructions as cons
 from .errors import InternalAssertion, InvalidAction, RegoriError
+from .numtheory import check_twist, factorize, split_coprime, split_residues
 
 
 def _split_args(body: str) -> list:
@@ -68,6 +68,8 @@ def materialize(desc: str):
 
 
 def _materialize(node):
+    from . import constructions as cons
+
     head, args = node
     if head == "c":
         (n,) = args
@@ -141,8 +143,6 @@ def descriptor_generator_orders(desc) -> tuple:
     if head == "sd":
         return args[0], args[1]
     if head == "dp":
-        from .origami import split_coprime
-
         ox, oy = descriptor_generator_orders(args[0])
         k = args[1][1][0]
         t, s = split_coprime(k, ox, oy)
@@ -181,8 +181,6 @@ def _coords(node) -> tuple:
         m, n, _ = args
         return [1 % m, 0], [0, 1 % n]
     if head == "dp":
-        from .origami import split_residues
-
         base, (_, (k,)) = args
         cx, cy = _coords(base)
         u, v = split_residues(k, *descriptor_generator_orders(base))
@@ -259,12 +257,10 @@ def _certify_generation(node) -> None:
     head, args = node
     if head == "sd":
         try:
-            cons.SemidirectSpec(*args).validate()
+            check_twist(*args)
         except InvalidAction as exc:
             raise InternalAssertion(f"{_fmt(node)}: {exc}") from exc
     elif head in ("klein", "q8w"):
-        from .numtheory import factorize
-
         bad = [q for q in factorize(args[0]) if q % 3 != 1]
         if bad:
             raise InternalAssertion(f"no order-3 multiplier mod {args[0]}: factor {bad[0]}")

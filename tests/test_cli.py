@@ -226,6 +226,31 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["t"] == 55
 
 
+def test_out_file_that_cannot_be_opened(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["--out", str(target), "progression", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {target}")
+
+
+def test_ranges_that_check_nothing_are_rejected(capsys):
+    for argv, message in (
+        (["verify-appendix-b", "-1", "3"], "need umax >= 3 and lmax >= 1"),
+        (["verify-appendix-b", "2", "8"], "need umax >= 3 and lmax >= 1"),
+        (["verify-appendix-b", "21", "0"], "need umax >= 3 and lmax >= 1"),
+        (["table", "summary-gm", "--m-max", "0"], "--m-max must be at least 1"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    code, payload = run_json(capsys, "verify-appendix-b", "3", "1")
+    assert (code, payload["checked"]) == (0, 1)
+    code, payload = run_json(capsys, "table", "summary-gm", "--m-max", "1")
+    assert (code, len(payload["rows"])) == (0, 1)
+
+
 def test_json_determinism(capsys):
     _, first = run(capsys, "--output", "json", "t-of-g", "122")
     _, second = run(capsys, "--output", "json", "t-of-g", "122")

@@ -15,11 +15,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import regori
 from regori.cli import main
 
 DATA = Path(__file__).with_name("cli_corpus.json")
@@ -107,6 +110,21 @@ def _expected() -> dict:
 @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_cli_output_unchanged(fmt, argv):
     assert record(fmt, argv) == _expected()[key(fmt, argv)]
+
+
+# the first corpus command of each subcommand
+FIRST_OF_EACH = list({argv[0]: argv for argv in reversed(CORPUS)}.values())
+
+
+@pytest.mark.parametrize("argv", FIRST_OF_EACH, ids=" ".join)
+def test_module_entry_point_output_unchanged(argv):
+    """`python -m regori.cli` in a fresh interpreter prints what main() prints."""
+    src = str(Path(regori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "regori.cli", "--output", "json", *argv],
+                          env=env, capture_output=True)
+    assert {"exit": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()} == _expected()[key("json", argv)]
 
 
 def test_corpus_file_matches_command_list():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from regori import numtheory as nt
 from regori.errors import (
     BudgetExceeded,
+    CoprimalityViolated,
     IncompatibleCongruences,
     InvalidModulus,
     PreconditionViolated,
@@ -142,3 +143,21 @@ def test_semidirect_agrees_with_bruteforce_small():
             fast = nt.semidirect_exists(u, l)
             slow = nt.semidirect_exists_bruteforce(u, l)
             assert (fast is None) == (slow is None), (u, l)
+
+
+def test_residue_system_and_witness_records():
+    system = nt.progression_for_m(5)
+    assert (system.modulus, system.residues) == (72, (11, 13, 59, 61))
+    assert 83 in system and 84 not in system
+    assert repr(nt.semidirect_exists(11, 5)) == "SemidirectWitness(m=11, n=5, d=3)"
+    with pytest.raises(AttributeError):
+        system.modulus = 1
+
+
+def test_coprime_split():
+    # 12 = 4 * 3: 4 avoids a = 9, 3 avoids b = 8
+    assert nt.split_coprime(12, 9, 8) == (4, 3)
+    u, v = nt.split_residues(12, 9, 8)
+    assert (u % 4, u % 3, v % 4, v % 3) == (1, 0, 0, 1)
+    with pytest.raises(CoprimalityViolated):
+        nt.split_coprime(6, 2, 4)

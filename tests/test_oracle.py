@@ -5,7 +5,7 @@ import pytest
 from regori import sl2, witnesses
 from regori.errors import InternalAssertion, PreconditionViolated
 from regori.groups import generates
-from regori.oracle import EXISTS, NOT_EXISTS, UNKNOWN, decide, decide_uniform
+from regori.oracle import EXISTS, NOT_EXISTS, UNKNOWN, ExistenceVerdict, decide, decide_uniform
 from regori.origami import genus_of, regular_origami, stratum_of, translation_group
 from regori.strata import Stratum, parse_stratum, uniform_stratum
 from regori.witnesses import certify, descriptor_order, generator_coords, materialize
@@ -197,3 +197,13 @@ def test_certify_rejects_exceptional_psl_pair(monkeypatch):
     monkeypatch.setattr(witnesses, "_psl_pair", lambda p, d: (A, B))
     with pytest.raises(InternalAssertion, match="does not generate SL"):
         certify("psl(17,6)", 2, 816)
+
+
+def test_verdict_fields_defaults_and_immutability():
+    v = decide_uniform(10, 5)
+    assert v == ExistenceVerdict(EXISTS, witness="sd(11,5,3)")
+    assert (v.status, v.witness, v.reason, v.exists) == (EXISTS, "sd(11,5,3)", None, True)
+    assert repr(v) == "ExistenceVerdict(status='exists', witness='sd(11,5,3)', reason=None)"
+    assert not ExistenceVerdict(UNKNOWN).exists
+    with pytest.raises(AttributeError):
+        v.status = UNKNOWN

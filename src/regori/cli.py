@@ -300,7 +300,7 @@ def _cmd_table(args) -> int:
     from . import tables
 
     if args.which == "appendix-a":
-        keys = [int(v) for v in args.rows.split(",")] if args.rows else None
+        keys = [int(v) for v in args.rows.split(",")] if args.rows is not None else None
         reports = tables.report_small_genus(rows=keys, budget=args.budget)
         header = ("g", "expected", "computed", "match", "note")
     else:

@@ -3,9 +3,12 @@
 A pair (sigma_h, sigma_v) is regular when the generated group acts simply
 transitively, i.e. the origami's translations act transitively. The search
 fixes sigma_h as the canonical product of equal cycles, then backtracks
-over sigma_v among uniform-cycle-type permutations.
+over sigma_v among uniform-cycle-type permutations. The (a, b) blocks of
+sigma_h of type a^(n/a) and sigma_v of type b^(n/b) run in raw order, a
+then b ascending, and each block's search finds every regular pair with
+ord x = a, ord y = b up to relabelling.
 
-Two devices keep the tree small:
+Three devices keep the tree small:
 
 * translation propagation: for every target square j, the partial
   translation sending 0 to j is kept across the whole search and grown
@@ -15,12 +18,37 @@ Two devices keep the tree small:
   conflict kills the branch, and values it forces on sigma_v are applied
   at once (this realizes the freeness prune: any word fixing a square
   must fix them all). The rules are exactly those of rebuilding every
-  translation from scratch at each node, and no stronger: which origami
-  stands for each isomorphism class depends on the order in which the
-  search meets them, so a stronger prune would change the output;
+  translation from scratch at each node;
 * cycle symmetry: permuting the untouched sigma_h-cycles commutes with
   sigma_h, so a choice entering fresh territory may as well land on the
-  leader of the first untouched cycle.
+  leader of the first untouched cycle;
+* class representatives: only blocks with a <= b run, and a subtree is
+  dropped as soon as, walking from square 0, the word x^k y (1 <= k < a)
+  closes in fewer than b steps or x y^k (1 <= k < b) in fewer than a.
+
+Which origami stands for each class is the first raw pair with its dedup
+key, so a prune keeps the output exactly when it drops only pairs whose
+class has an earlier raw member. The last device does that:
+
+- Dedup keys a pair on its stratum, its commutator order and the
+  isomorphism class of its translation group, which is anti-isomorphic to
+  G = <x, y>.
+- The images (y, x), (x, x^k y) and (x y^k, y) generate the same G, and
+  their commutators are conjugate to [x, y]^(+-1). A regular stratum is
+  H((c-1)^(n/c)) for c the commutator order, so every image has the key
+  of (x, y).
+- In a regular pair, right multiplication by g has all its cycles of
+  length ord(g), so a cycle through square 0 that has closed in a partial
+  sigma_v gives ord(x^k y) < b or ord(x y^k) < a in every regular
+  completion. Each skipped or dropped regular pair thus has an image in a
+  block that comes earlier: (b, a) with b < a, (a, ord(x^k y)), or
+  (ord(x y^k), b).
+- The earliest block holding a member of a class therefore has a <= b and
+  no droppable pair, and the complete search of that block meets the
+  class's first raw member there. Dropping leaves keeps the rest of the
+  raw stream in order, so that member is still the first.
+- Intransitive and irregular leaves are filtered afterwards, so dropping
+  them is harmless.
 
 Results are deduplicated by group isomorphism plus commutator order and
 sorted by (stratum, serialized origami).
@@ -271,6 +299,75 @@ class _PairState:
             clen[sp] -= clen[q]
 
 
+class _ShortWords:
+    """Walks from square 0 of the words x^k y and x y^k, grown with sigma_v.
+
+    Word (kh, kv, limit) takes the step g -> sigma_v^kv(sigma_h^kh(g)):
+    (k, 1, b) for 1 <= k < a and (1, k, a) for 1 <= k < b. A walk is
+    followed only while it could still come back to 0 in fewer than limit
+    steps. It waits at the square whose sigma_v value it needs next, so a
+    check visits only the few squares that walks wait at. The undo log
+    holds, per square whose walks moved on, those walks with their step
+    counts, and each square a walk moved on to.
+    """
+
+    def __init__(self, a, b, sv):
+        self.sv, self.a = sv, a
+        self.words = [(k, 1, b) for k in range(1, a)]
+        if a > 1:
+            self.words += [(1, k, a) for k in range(1, b)]
+        self.count = [0] * len(self.words)  # sigma_v steps taken by each walk
+        self.waiting = {}  # square -> the walks waiting at it
+        for w, (kh, _, _) in enumerate(self.words):
+            self.waiting.setdefault(kh, []).append(w)  # sigma_h^kh(0) = kh
+        self.log = []
+
+    def closes_early(self) -> bool:
+        """Move on every walk whose square now has its sigma_v value; True
+        when one of them comes back to square 0 in fewer than limit steps."""
+        sv, a, words, count, waiting, log = (
+            self.sv, self.a, self.words, self.count, self.waiting, self.log)
+        for p in [p for p in waiting if sv[p] != -1]:
+            ws = waiting.pop(p)
+            log.append((p, ws, [count[w] for w in ws]))
+            for w in ws:
+                kh, kv, limit = words[w]
+                x, c = p, count[w]
+                while True:
+                    r = sv[x]
+                    if r == -1:
+                        count[w] = c
+                        waiting.setdefault(x, []).append(w)
+                        log.append(x)
+                        break
+                    c += 1
+                    if c % kv:
+                        x = r
+                        continue
+                    if r == 0:
+                        return True
+                    if c // kv + 1 >= limit:
+                        break  # it can no longer close early
+                    x = r - r % a + (r + kh) % a
+        return False
+
+    def undo(self, mark):
+        """Unwind the log to its length `mark`."""
+        log, waiting, count = self.log, self.waiting, self.count
+        while len(log) > mark:
+            e = log.pop()
+            if type(e) is int:
+                ws = waiting[e]
+                ws.pop()
+                if not ws:
+                    del waiting[e]
+                continue
+            p, ws, counts = e
+            waiting[p] = ws
+            for w, c in zip(ws, counts):
+                count[w] = c
+
+
 def _enumerate_pairs(n, a, b):
     """Yield completed sigma_v's for sigma_h of type a^(n/a), sigma_v of type b^(n/b)."""
     sh = perms.uniform_cycles(n, a)
@@ -282,6 +379,7 @@ def _enumerate_pairs(n, a, b):
     ncyc = n // a
     st = _PairState(n, a, b)
     sv, svi, cstart, clen, touched = st.sv, st.svi, st.cstart, st.clen, st.touched
+    words = _ShortWords(a, b, sv)
 
     def rec():
         if st.assigned == n:
@@ -306,13 +404,22 @@ def _enumerate_pairs(n, a, b):
             mark = len(st.trail)
             try:
                 st.extend(p, q)
-                yield from rec()
             except _Conflict:
-                pass
+                st.undo(mark)
+                continue
+            wmark = len(words.log)
+            if not words.closes_early():
+                yield from rec()
+            words.undo(wmark)
             st.undo(mark)
 
     for svt in rec():
         yield sh, svt
+
+
+def _blocks(n) -> list:
+    """The (n, a, b) blocks searched, in raw order: a <= b only."""
+    return [(n, a, b) for a in divisors(n) for b in divisors(n) if a <= b]
 
 
 def _pairs_for_block(args) -> list:
@@ -335,7 +442,7 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if n > budget:
         raise BudgetExceeded(f"square count {n} beyond budget {budget}")
-    blocks = [(n, a, b) for a in divisors(n) for b in divisors(n)]
+    blocks = _blocks(n)
     if workers > 1:
         import multiprocessing
 

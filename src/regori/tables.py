@@ -112,6 +112,10 @@ def classify_order(m: int) -> str:
 
 def report_small_genus(rows=None, budget: int = 0) -> list:
     """Recompute the small-genus rows and compare with the embedded table."""
+    for g in rows or ():
+        if g not in SMALL_GENUS_ROWS:
+            known = ", ".join(map(str, sorted(SMALL_GENUS_ROWS)))
+            raise ValueError(f"no reference row for genus {g}; known genera: {known}")
     out = []
     for g in sorted(rows or SMALL_GENUS_ROWS):
         t, m, stratum_text, group_text, certified = SMALL_GENUS_ROWS[g]

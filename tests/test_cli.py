@@ -196,6 +196,15 @@ def test_table_appendix_rows(capsys):
     assert payload["all_match"] is True
 
 
+def test_table_unknown_or_empty_rows_are_usage_errors(capsys):
+    assert main(["table", "appendix-a", "--rows", "26,27"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no reference row for genus 27; known genera: 26, 122, ")
+    assert main(["table", "appendix-a", "--rows="]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_appendix_b(capsys):
     code, payload = run_json(capsys, "verify-appendix-b", "21", "8")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Identical enumerator output for every square count up to 32.
+"""Identical enumerator output for every square count up to 47.
 
 `enum_corpus.json` holds, for each n, the sha256 of the witnesses that
 `enumerate_regular(n)` keeps: their serialized origamis, strata, group
@@ -24,13 +24,13 @@ from regori.enumerator import enumerate_regular
 
 DATA = Path(__file__).with_name("enum_corpus.json")
 
-SIZES = range(1, 33)
+SIZES = range(1, 48)
 
 
 def digest(n: int) -> str:
     rows = [
         (w.origami.serialize(), list(w.stratum.zeros), w.group_order, w.commutator_order)
-        for w in enumerate_regular(n)
+        for w in enumerate_regular(n, budget=n)
     ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 

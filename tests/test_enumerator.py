@@ -83,6 +83,94 @@ def test_workers_agree_with_serial():
     assert key(serial) == key(parallel)
 
 
+def _unpruned(monkeypatch):
+    """Switch the search back to every (a, b) block and no short-word prune."""
+    from regori import enumerator
+    from regori.numtheory import divisors
+
+    monkeypatch.setattr(enumerator._ShortWords, "closes_early", lambda self: False)
+    monkeypatch.setattr(
+        enumerator, "_blocks", lambda n: [(n, a, b) for a in divisors(n) for b in divisors(n)]
+    )
+
+
+def test_class_representative_search_keeps_output(monkeypatch):
+    # the pruned search keeps the first raw member of every class, so the
+    # witnesses are the same, and each block's stream only loses pairs
+    from regori import enumerator
+
+    sizes = range(1, 25)
+    key = lambda ws: [
+        (w.origami.serialize(), w.stratum.zeros, w.group_order, w.commutator_order) for w in ws
+    ]
+    pruned = {n: key(enumerate_regular(n)) for n in sizes}
+    streams = {blk: enumerator._pairs_for_block(blk) for n in sizes for blk in enumerator._blocks(n)}
+    _unpruned(monkeypatch)
+    for n in sizes:
+        assert key(enumerate_regular(n)) == pruned[n], n
+    for blk, pairs in streams.items():
+        full = iter(enumerator._pairs_for_block(blk))
+        assert all(pair in full for pair in pairs), blk
+
+
+def test_cyclic_pair_with_x_a_power_of_y_is_pruned(monkeypatch):
+    # x = y^16 in Z/32: its image (x y^16, y) = (1, y) lies in block (1, 32)
+    from regori import enumerator, perms
+
+    assert enumerator._pairs_for_block((32, 2, 32)) == []
+    cyclic = [
+        w for w in enumerate_regular(32)
+        if w.commutator_order == 1 and w.origami.sigma_h == perms.identity(32)
+    ]
+    assert len(cyclic) == 1 and perms.cycle_type(cyclic[0].origami.sigma_v) == (32,)
+    _unpruned(monkeypatch)
+    [(sh, sv)] = enumerator._pairs_for_block((32, 2, 32))
+    y16 = perms.identity(32)
+    for _ in range(16):
+        y16 = tuple(sv[i] for i in y16)
+    assert sh == y16
+
+
+def _closes_early_reference(sv, a, b):
+    """Walk x^k y (1 <= k < a) and x y^k (1 <= k < b) from square 0 afresh:
+    does one come back to 0 in fewer than b, resp. a, steps?"""
+    rot = lambda g, k: g - g % a + (g + k) % a
+    words = [(k, 1, b) for k in range(1, a)] + [(1, k, a) for k in range(1, b)]
+    for kh, kv, limit in words:
+        g = 0
+        for _ in range(limit - 1):
+            g = rot(g, kh)
+            for _ in range(kv):
+                g = sv[g] if g != -1 else -1
+            if g == 0:
+                return True
+            if g == -1:
+                break
+    return False
+
+
+@pytest.mark.parametrize("n", (12, 16, 18, 24))
+def test_incremental_short_words_match_fresh_walks(n, monkeypatch):
+    from collections import Counter
+
+    from regori import enumerator
+
+    stats = Counter()
+    incremental = enumerator._ShortWords.closes_early
+    block = None
+
+    def checked(self):
+        got = incremental(self)
+        assert got == _closes_early_reference(self.sv, *block[1:]), block
+        stats[got] += 1
+        return got
+
+    monkeypatch.setattr(enumerator._ShortWords, "closes_early", checked)
+    for block in enumerator._blocks(n):
+        enumerator._pairs_for_block(block)
+    assert stats[True] and stats[False], stats
+
+
 def _uniform_perms(n, b):
     """Every permutation of {0..n-1} with all cycles of length b."""
     if n % b:

@@ -4,11 +4,14 @@ A group is its order plus a total product on indices. Groups built from
 explicit multiplication rules (cyclic, semidirect, ...) wrap an encoding of
 structured elements; groups built by closure keep their permutations. Both
 expose the same interface, and every operation here works through it.
+
+`closure` is the one breadth-first closure: it generates permutation
+groups, subgroups on indices, and the SL(2,p) matrix groups of `sl2`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import perms
 from .errors import BudgetExceeded, DegreeMismatch, NotGenerating
@@ -82,13 +85,6 @@ class FiniteGroup:
     def coords(self, a: int):
         return self._coords(a) if self._coords else a
 
-    def is_abelian(self) -> bool:
-        return all(
-            self._mul(a, b) == self._mul(b, a)
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def root_spectrum(self) -> tuple:
         """Sorted ((order, number of square roots), count) pairs over all
         elements; an isomorphism invariant.
@@ -130,33 +126,11 @@ class FiniteGroup:
                     if self._mul(ab, c) != self._mul(a, self._mul(b, c)):
                         raise AssertionError(f"associativity fails at ({a},{b},{c})")
 
-    def as_table(self) -> list:
-        """Materialize the full multiplication table."""
-        return [
-            [self._mul(a, b) for b in range(self.order)] for a in range(self.order)
-        ]
 
-    def regular_perms(self) -> list:
-        """Right-regular permutation realization, one row per element."""
-        return [self.right_translation(x) for x in self.elements()]
-
-    @staticmethod
-    def from_table(table, label: str = "", coords=None) -> "FiniteGroup":
-        n = len(table)
-        identity = next(
-            a for a in range(n) if all(table[a][b] == b for b in range(n))
-        )
-        return FiniteGroup(
-            n, lambda a, b: table[a][b], identity=identity, label=label, coords=coords
-        )
-
-
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "parent members")):
     """A subgroup as the set of member indices of its parent group."""
 
-    parent: FiniteGroup
-    members: frozenset
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -165,6 +139,27 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.parent.order // len(self.members)
+
+
+def closure(identity, gens, mul, budget=None) -> list:
+    """Every product of gens, in breadth-first discovery order from identity.
+
+    The returned list is also the FIFO queue of the walk: each element is
+    multiplied on the right by every generator in turn, and each product is
+    appended when first seen. Raises BudgetExceeded on the first new element
+    past ``budget``, so a group of exactly ``budget`` elements is allowed.
+    """
+    elems = [identity]
+    seen = {identity}
+    for x in elems:
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                if budget is not None and len(elems) >= budget:
+                    raise BudgetExceeded(f"closure passed budget {budget}")
+                seen.add(y)
+                elems.append(y)
+    return elems
 
 
 def closure_from_generators(gens, budget: int, label: str = "") -> FiniteGroup:
@@ -180,24 +175,8 @@ def closure_from_generators(gens, budget: int, label: str = "") -> FiniteGroup:
         raise DegreeMismatch("generators have different degrees")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    ident = perms.identity(degree)
-    elems = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = perms.compose(p, g)
-                if q not in index:
-                    if len(elems) >= budget:
-                        raise BudgetExceeded(
-                            f"closure passed budget {budget}"
-                        )
-                    index[q] = len(elems)
-                    elems.append(q)
-                    new.append(q)
-        frontier = new
+    elems = closure(perms.identity(degree), gens, perms.compose, budget)
+    index = {q: i for i, q in enumerate(elems)}
 
     def mul(a, b, _elems=elems, _index=index):
         return _index[perms.compose(_elems[a], _elems[b])]
@@ -208,19 +187,7 @@ def closure_from_generators(gens, budget: int, label: str = "") -> FiniteGroup:
 
 def subgroup_generated(G: FiniteGroup, elems) -> Subgroup:
     """Closure of a set of elements under multiplication (BFS on indices)."""
-    members = {G.identity}
-    gens = list(elems)
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul(a, g)
-                if b not in members:
-                    members.add(b)
-                    new.append(b)
-        frontier = new
-    return Subgroup(G, frozenset(members))
+    return Subgroup(G, frozenset(closure(G.identity, list(elems), G._mul)))
 
 
 def generates(G: FiniteGroup, elems) -> bool:

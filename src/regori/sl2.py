@@ -1,14 +1,20 @@
 """Determinant-one 2x2 matrices over a prime field.
 
 Covers exact arithmetic, elements of prescribed order, the two-trace
-generation test, a breadth-first closure oracle, generating pairs with a
+generation test, an orbit-stabilizer closure order, generating pairs with a
 prescribed commutator order, and the projective family feeding the
 translation-group search.
+
+A `Mat2` is the namedtuple (p, a, b, c, d), so `M[1:]` is its bare 4-tuple
+of entries. `_product` multiplies such 4-tuples mod p, and `groups.closure`
+closes the matrix groups over them; `groups` is imported only where a
+closure runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -23,21 +29,16 @@ from .numtheory import _sqrt_table, factorize, is_prime
 DEFAULT_SL2_CAP = 101
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(namedtuple("Mat2", "p a b c d")):
     """A matrix [[a, b], [c, d]] over F_p with determinant one."""
 
-    p: int
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, getattr(self, name) % self.p)
-        if (self.a * self.d - self.b * self.c) % self.p != 1:
-            raise ValueError(f"determinant of {self} is not 1 mod {self.p}")
+    def __new__(cls, p, a, b, c, d):
+        self = super().__new__(cls, p, a % p, b % p, c % p, d % p)
+        if (self.a * self.d - self.b * self.c) % p != 1:
+            raise ValueError(f"determinant of {self} is not 1 mod {p}")
+        return self
 
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]@{self.p}"
@@ -60,24 +61,21 @@ def _same_field(M: Mat2, N: Mat2):
         raise ModulusMismatch(f"matrices over F_{M.p} and F_{N.p}")
 
 
+def _product(p: int, X: tuple, Y: tuple) -> tuple:
+    """The product of 2x2 matrices given as 4-tuples (a, b, c, d), mod p."""
+    a, b, c, d = X
+    e, f, g, h = Y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
 def mat_mul(M: Mat2, N: Mat2) -> Mat2:
     _same_field(M, N)
-    p = M.p
-    return Mat2(
-        p,
-        M.a * N.a + M.b * N.c,
-        M.a * N.b + M.b * N.d,
-        M.c * N.a + M.d * N.c,
-        M.c * N.b + M.d * N.d,
-    )
+    return Mat2(M.p, *_product(M.p, M[1:], N[1:]))
 
 
 def mat_inv(M: Mat2) -> Mat2:
     return Mat2(M.p, M.d, -M.b, -M.c, M.a)
-
-
-def trace(M: Mat2) -> int:
-    return M.trace
 
 
 def mat_pow(M: Mat2, e: int) -> Mat2:
@@ -159,31 +157,6 @@ def _mult_order(x: int, p: int) -> int:
     return k
 
 
-def _bounded_subgroup_size(p: int, A: Mat2, B: Mat2, cap: int):
-    """|<A, B>| when it is at most cap, else None. Pure breadth-first walk."""
-    gens = [(A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d)]
-    ident = (1, 0, 0, 1)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for (a, b, c, d) in frontier:
-            for (e, f, g, h) in gens:
-                prod = (
-                    (a * e + b * g) % p,
-                    (a * f + b * h) % p,
-                    (c * e + d * g) % p,
-                    (c * f + d * h) % p,
-                )
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(prod)
-                    new.append(prod)
-        frontier = new
-    return len(seen)
-
-
 def mw_generates(p: int, A: Mat2, B: Mat2) -> bool:
     """Trace test for generation, applicable once the commutator order is >= 6.
 
@@ -191,7 +164,8 @@ def mw_generates(p: int, A: Mat2, B: Mat2) -> bool:
     and tr([A,B]) != 2, provided the pair does not land in an exceptional
     subgroup. Commutator orders 6 and 10 project to orders 3 and 5, which
     the exceptional groups do admit, so those two cases get an extra
-    bounded closure: every exceptional subgroup has at most 120 elements.
+    bounded closure: every exceptional subgroup has at most 120 elements,
+    so a closure that passes 121 elements is not one.
     """
     if p < 13 or not is_prime(p):
         raise PreconditionViolated(f"trace test needs a prime p >= 13, got {p}")
@@ -203,7 +177,13 @@ def mw_generates(p: int, A: Mat2, B: Mat2) -> bool:
     nonzero = sum(1 for t in (A.trace, B.trace, mat_mul(A, B).trace) if t != 0)
     if not (nonzero >= 2 and comm.trace != 2):
         return False
-    if comm_order in (6, 10) and _bounded_subgroup_size(p, A, B, 121) is not None:
+    if comm_order in (6, 10):
+        from .groups import closure
+
+        try:
+            closure((1, 0, 0, 1), (A[1:], B[1:]), partial(_product, p), budget=121)
+        except BudgetExceeded:
+            return True
         return False
     return True
 
@@ -222,7 +202,7 @@ def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
     if p > cap:
         raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)
-    gens = ((A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d))
+    gens = (A[1:], B[1:])
     column = {(1, 0): (0, 1)}
     frontier = [((1, 0), (0, 1))]
     stabilizer = 1
@@ -307,72 +287,41 @@ _SPECIAL_PAIRS = {
 def psl_group(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP):
     """PSL(2,p) generated by the images of A and B, as an indexed group.
 
-    The full matrix closure is built first; classes {M, -M} are numbered by
-    their smaller encoding, discovery order. Returns (group, a, b).
+    The full matrix closure is built first, in breadth-first order; classes
+    {M, -M} are numbered in order of discovery and kept as their smaller
+    4-tuple. Returns (group, a, b).
     """
-    from .groups import FiniteGroup
+    from .groups import FiniteGroup, closure
 
     if p > cap:
         raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)
-    ident = (1, 0, 0, 1)
-    mats = {ident}
-    order = [ident]
-    frontier = [ident]
-    gens = [(A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d)]
-    while frontier:
-        new = []
-        for (a, b, c, d) in frontier:
-            for (e, f, g, h) in gens:
-                prod = (
-                    (a * e + b * g) % p,
-                    (a * f + b * h) % p,
-                    (c * e + d * g) % p,
-                    (c * f + d * h) % p,
-                )
-                if prod not in mats:
-                    mats.add(prod)
-                    order.append(prod)
-                    new.append(prod)
-        frontier = new
-    sl_size = len(order)
-    if sl_size != p * (p - 1) * (p + 1):
+    ident, gens = (1, 0, 0, 1), (A[1:], B[1:])
+    sl = closure(ident, gens, partial(_product, p))
+    if len(sl) != p * (p - 1) * (p + 1):
         raise InternalAssertion(
-            f"pair generates order {sl_size}, not SL(2,{p})"
+            f"pair generates order {len(sl)}, not SL(2,{p})"
         )
-
-    def canon(mat):
-        neg = tuple((-v) % p for v in mat)
-        return min(mat, neg)
-
+    # index both matrices of a class, so a product needs no canonical form
     index = {}
     reps = []
-    for mat in order:
-        c = canon(mat)
-        if c not in index:
-            index[c] = len(reps)
-            reps.append(c)
+    for mat in sl:
+        if mat not in index:
+            neg = tuple(-v % p for v in mat)
+            index[mat] = index[neg] = len(reps)
+            reps.append(min(mat, neg))
 
     def mul(i, j, _reps=reps, _index=index, _p=p):
-        a, b, c, d = _reps[i]
-        e, f, g, h = _reps[j]
-        prod = (
-            (a * e + b * g) % _p,
-            (a * f + b * h) % _p,
-            (c * e + d * g) % _p,
-            (c * f + d * h) % _p,
-        )
-        neg = tuple((-v) % _p for v in prod)
-        return _index[min(prod, neg)]
+        return _index[_product(_p, _reps[i], _reps[j])]
 
     G = FiniteGroup(
         len(reps),
         mul,
-        identity=index[canon(ident)],
+        identity=index[ident],
         label=f"PSL(2,{p})",
         coords=lambda i: list(reps[i]),
     )
-    return G, index[canon(gens[0])], index[canon(gens[1])]
+    return G, index[gens[0]], index[gens[1]]
 
 
 def psl_family(m: int, p: int, k: int, cap: int = DEFAULT_SL2_CAP):

@@ -195,7 +195,7 @@ def _coords(node) -> tuple:
         p, _ = args
 
         def projective_class(M):
-            mat = (M.a, M.b, M.c, M.d)
+            mat = M[1:]
             return list(min(mat, tuple(-v % p for v in mat)))
 
         return tuple(projective_class(M) for M in _psl_pair(*args))

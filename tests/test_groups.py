@@ -14,6 +14,7 @@ from regori.errors import BudgetExceeded, DegreeMismatch
 from regori.groups import (
     automorphism_count,
     center,
+    closure,
     closure_from_generators,
     derived_subgroup,
     generates,
@@ -21,6 +22,7 @@ from regori.groups import (
     is_isomorphic,
     subgroup_generated,
 )
+from regori.perms import compose
 
 
 def test_closure_symmetric_group():
@@ -43,6 +45,12 @@ def test_closure_right_translations_of_dihedral():
 def test_closure_budget():
     with pytest.raises(BudgetExceeded):
         closure_from_generators([(1, 2, 0), (1, 0, 2)], budget=5)
+    # exactly `budget` elements are allowed
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    assert len(closure((0, 1, 2, 3), gens, compose, budget=24)) == 24
+    with pytest.raises(BudgetExceeded):
+        closure((0, 1, 2, 3), gens, compose, budget=23)
+    assert closure(0, [4], cyclic(12).mul) == [0, 4, 8]
     with pytest.raises(DegreeMismatch):
         closure_from_generators([(1, 0), (1, 2, 0)], budget=10)
 
@@ -101,17 +109,34 @@ def test_subgroup_generated_and_generates():
     assert not generates(G, (2,))
 
 
-def test_table_and_perm_conversions_roundtrip():
-    from regori.groups import FiniteGroup, is_isomorphic
-
+def test_right_regular_representation_roundtrip():
     G = semidirect_cyclic(5, 2, 4)
-    table = G.as_table()
-    H = FiniteGroup.from_table(table, label="tabled")
-    assert H.order == G.order and H.identity == G.identity
-    assert all(H.mul(a, b) == G.mul(a, b) for a in range(10) for b in range(10))
-    K = closure_from_generators(G.regular_perms(), budget=G.order)
+    K = closure_from_generators([G.right_translation(x) for x in G.elements()],
+                                budget=G.order)
     assert K.order == G.order
     assert is_isomorphic(K, G)
+
+
+# sha256 of the JSON list of `G.perms` for closures of the standard
+# generators of S4 and S5: the breadth-first numbering must not drift
+PERM_NUMBERING = {
+    4: "e9d28514fd9a310e8496464fe45ddc35bd4497512ca1d0a9752a9eb84bde8251",
+    5: "916cb901193ada8b5fecad619ef3c047600316ca0e271ce095a199b93d25e8b7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PERM_NUMBERING))
+def test_closure_numbering_is_pinned(n):
+    import hashlib
+    import json
+    from math import factorial
+
+    cycle = tuple(range(1, n)) + (0,)
+    swap = (1, 0) + tuple(range(2, n))
+    G = closure_from_generators([cycle, swap], budget=factorial(n))
+    assert G.perms[0] == tuple(range(n))
+    digest = hashlib.sha256(json.dumps([list(q) for q in G.perms]).encode()).hexdigest()
+    assert digest == PERM_NUMBERING[n]
 
 
 def test_generating_set_deterministic():

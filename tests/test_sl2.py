@@ -93,6 +93,17 @@ def test_mw_rejects_exceptional_subgroups():
     assert sl2.mw_generates(17, A, B) is False
 
 
+def test_mw_rejects_the_largest_exceptional_subgroup():
+    # the pair passes the trace test and generates the binary icosahedral
+    # group, 120 elements: the bounded closure must admit exactly that many
+    A, B = sl2.Mat2(19, 1, 1, 2, 3), sl2.standard_b(19)
+    comm = sl2.commutator(A, B)
+    assert sl2.mat_order(comm) == 10
+    assert (A.trace, B.trace, sl2.mat_mul(A, B).trace, comm.trace) == (4, 0, 18, 15)
+    assert sl2.closure_order(19, A, B) == 120
+    assert sl2.mw_generates(19, A, B) is False
+
+
 def _closure_order_reference(p, A, B):
     """|<A, B>| by breadth-first closure over all matrices, O(|<A, B>|)."""
     gens = [(A.a, A.b, A.c, A.d), (B.a, B.b, B.c, B.d)]
@@ -267,6 +278,31 @@ def test_psl_family_table_row_m11():
 def test_serialization():
     A = sl2.Mat2(11, 1, 2, 0, 1)
     assert str(A) == "[[1,2],[0,1]]@11"
+    assert repr(A) == "Mat2(p=11, a=1, b=2, c=0, d=1)"
+    assert sl2.Mat2(11, 12, -9, 0, 23) == A
+
+
+# sha256 of the JSON list of `G.coords(i)` for every element index of
+# `psl_group(p, *build_generating_pair(p, d))`: the element numbering that
+# witnesses and the CLI report must not drift
+PSL_NUMBERING = {
+    (11, 12): "4ef931b41ea7eb7c13f4e1ba9b2d735c74fce4786b72f01f4fef3d2eeb06066b",
+    (13, 12): "5a2337893ec6740dff981ae283ef8b5033361468600a6a40262ddf35bef3cbda",
+    (17, 18): "627ac60f1aedb34d430c68e874986da435b572e8d89cc35ab5568a3f129dca93",
+    (19, 10): "17451eb4781a487faa9d675bd3f97a24e2ffc7d93e32033ecfe2725dc5a2ff37",
+    (23, 12): "1aea6a1e833da30595a3692413155a2994c3e86e3201c60f2896cd6305242d42",
+}
+
+
+@pytest.mark.parametrize("p, d", sorted(PSL_NUMBERING))
+def test_psl_group_numbering_is_pinned(p, d):
+    import hashlib
+    import json
+
+    G, a, b = sl2.psl_group(p, *sl2.build_generating_pair(p, d))
+    assert (G.order, G.identity, a, b) == (p * (p * p - 1) // 2, 0, 1, 2)
+    coords = json.dumps([G.coords(i) for i in range(G.order)]).encode()
+    assert hashlib.sha256(coords).hexdigest() == PSL_NUMBERING[(p, d)]
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -60,6 +60,24 @@ def test_psl_pair_skips_the_oracle():
     code, payload, modules = run_in_fresh_process("psl-pair", "23", "12")
     assert (code, payload["commutator_order"]) == (0, 12)
     assert not regori_modules(modules) & {"oracle", "enumerator", "search", "tables"}
+    assert "dataclasses" not in modules
+
+
+def test_psl_pair_bounded_closure_skips_dataclasses():
+    # commutator order 6 sends the trace test through the bounded closure
+    code, payload, modules = run_in_fresh_process("psl-pair", "23", "6")
+    assert (code, payload["commutator_order"]) == (0, 6)
+    assert "groups" in regori_modules(modules)
+    assert "dataclasses" not in modules
+
+
+def test_stratum_exists_psl_witness_skips_dataclasses():
+    code, payload, modules = run_in_fresh_process("stratum-exists", "H(5^110)")
+    assert (code, payload["witness"]) == (0, "psl(11,12)")
+    loaded = regori_modules(modules)
+    assert "sl2" in loaded
+    assert not loaded & NOT_FOR_VERDICTS
+    assert "dataclasses" not in modules
 
 
 def test_lazy_package_namespace():

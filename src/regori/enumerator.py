@@ -1,12 +1,12 @@
 """Exhaustive search for regular pairs on a given square count.
 
 A pair (sigma_h, sigma_v) is regular when the generated group acts simply
-transitively, i.e. the origami's translations act transitively. The search
-fixes sigma_h as the canonical product of equal cycles, then backtracks
-over sigma_v among uniform-cycle-type permutations. The (a, b) blocks of
-sigma_h of type a^(n/a) and sigma_v of type b^(n/b) run in raw order, a
-then b ascending, and each block's search finds every regular pair with
-ord x = a, ord y = b up to relabelling.
+transitively, i.e. the origami's translations act transitively. For each
+cycle type a^(n/a) of sigma_h, a ascending, one search fixes sigma_h as
+the canonical product of equal cycles and backtracks over sigma_v. The
+cycle length b of sigma_v is left open until its first cycle closes,
+which fixes it; before that, chains may grow to any length. The search
+finds every regular pair with ord x = a up to relabelling, for every b.
 
 Three devices keep the tree small:
 
@@ -22,13 +22,28 @@ Three devices keep the tree small:
 * cycle symmetry: permuting the untouched sigma_h-cycles commutes with
   sigma_h, so a choice entering fresh territory may as well land on the
   leader of the first untouched cycle;
-* class representatives: only blocks with a <= b run, and a subtree is
-  dropped as soon as, walking from square 0, the word x^k y (1 <= k < a)
-  closes in fewer than b steps or x y^k (1 <= k < b) in fewer than a.
+* class representatives: the first closed cycle may fix only b >= a, and
+  a complete sigma_v is dropped when, walking from square 0, the word
+  x^k y (1 <= k < a) closes in fewer than b steps or x y^k (1 <= k < b)
+  in fewer than a.
+
+The raw order of pairs is a, then b, then sigma_v lexicographic, and each
+search yields its leaves in that order once they are grouped by b:
+
+- The search always branches on the smallest unset square and tries its
+  candidates in ascending order, so whatever it prunes or forces, it
+  meets complete sigma_v's in lexicographic order.
+- A leaf with cycle length b passes the same tests on its way down as in
+  a search with b fixed from the start: its chains never exceed b, and
+  its first closed cycle has length b, which divides n and is at least
+  as long as every open chain. So no leaf is lost by leaving b open.
+- Grouping the leaves by b, stably, gives each (a, b) block's stream in
+  turn.
 
 Which origami stands for each class is the first raw pair with its dedup
 key, so a prune keeps the output exactly when it drops only pairs whose
-class has an earlier raw member. The last device does that:
+class has an earlier raw member. The class-representative device does
+that:
 
 - Dedup keys a pair on its stratum, its commutator order and the
   isomorphism class of its translation group, which is anti-isomorphic to
@@ -38,17 +53,17 @@ class has an earlier raw member. The last device does that:
   H((c-1)^(n/c)) for c the commutator order, so every image has the key
   of (x, y).
 - In a regular pair, right multiplication by g has all its cycles of
-  length ord(g), so a cycle through square 0 that has closed in a partial
-  sigma_v gives ord(x^k y) < b or ord(x y^k) < a in every regular
-  completion. Each skipped or dropped regular pair thus has an image in a
-  block that comes earlier: (b, a) with b < a, (a, ord(x^k y)), or
-  (ord(x y^k), b).
+  length ord(g), so a cycle through square 0 that closes early gives
+  ord(x^k y) < b or ord(x y^k) < a. Each skipped or dropped regular pair
+  thus has an image in a block that comes earlier: (b, a) with b < a,
+  (a, ord(x^k y)), or (ord(x y^k), b).
 - The earliest block holding a member of a class therefore has a <= b and
-  no droppable pair, and the complete search of that block meets the
-  class's first raw member there. Dropping leaves keeps the rest of the
-  raw stream in order, so that member is still the first.
-- Intransitive and irregular leaves are filtered afterwards, so dropping
-  them is harmless.
+  no droppable pair, and that block's leaves include the class's first
+  raw member. Dropping leaves keeps the rest of the raw stream in order,
+  so that member is still the first.
+- Intransitive leaves are dropped too (tau_1 is defined on every square
+  exactly when the pair is transitive), and irregular ones are filtered
+  afterwards, so dropping them is harmless.
 
 Results are deduplicated by group isomorphism plus commutator order and
 sorted by (stratum, serialized origami).
@@ -89,11 +104,30 @@ class _Conflict(Exception):
     pass
 
 
-def _apply(sv, svi, cstart, cend, clen, b, p, q):
-    """sigma_v(p) = q with uniform-cycle bookkeeping; _Conflict when illegal."""
+def _closable(a, b, cstart, clen, length) -> bool:
+    """May a sigma_v chain of this length close into a cycle?
+
+    Once b is fixed, exactly when length is b. Before, the first cycle to
+    close fixes b, so its length must be at least a, divide n, and leave
+    no chain longer than itself; no cycle has closed yet, so every chain
+    is open.
+    """
+    if b is not None:
+        return length == b
+    n = len(cstart)
+    return (
+        length >= a
+        and n % length == 0
+        and all(clen[s] <= length for s in range(n) if cstart[s] == s)
+    )
+
+
+def _apply(sv, svi, cstart, cend, clen, a, b, p, q):
+    """sigma_v(p) = q with uniform-cycle bookkeeping; b afterwards, which a
+    first closed cycle fixes; _Conflict when illegal."""
     if sv[p] != -1:
         if sv[p] == q:
-            return
+            return b
         raise _Conflict
     if svi[q] != -1:
         raise _Conflict
@@ -101,15 +135,15 @@ def _apply(sv, svi, cstart, cend, clen, b, p, q):
     if cend[sp] != p:
         raise _Conflict  # p is mid-chain
     if q == sp:
-        # closing the chain into a cycle of exact length b
-        if clen[sp] != b:
+        # closing the chain into a cycle of length b
+        if not _closable(a, b, cstart, clen, clen[sp]):
             raise _Conflict
         sv[p] = q
         svi[q] = p
-        return
+        return clen[sp]
     if cstart[q] != q:
         raise _Conflict  # q is not a chain start
-    if clen[sp] + clen[q] > b:
+    if b is not None and clen[sp] + clen[q] > b:
         raise _Conflict
     sv[p] = q
     svi[q] = p
@@ -122,10 +156,14 @@ def _apply(sv, svi, cstart, cend, clen, b, p, q):
         r = sv[r]
     cend[sp] = end_q
     clen[sp] += clen[q]
+    return b
 
 
 class _PairState:
     """A partial sigma_v beside sigma_h = (0..a-1)(a..2a-1)..., with undo.
+
+    sigma_v's cycle length b is None until its first cycle closes, which
+    fixes it (`_closable`); until then chains may grow to any length.
 
     For every target j = 1..n-1 it keeps the partial translation tau_j
     sending square 0 to j, and its inverse, closed under three rules: an
@@ -143,8 +181,8 @@ class _PairState:
     enters a domain. Every change goes on one undo trail.
     """
 
-    def __init__(self, n, a, b):
-        self.n, self.a, self.b = n, a, b
+    def __init__(self, n, a):
+        self.n, self.a, self.b = n, a, None
         self.sv = [-1] * n
         self.svi = [-1] * n
         self.cstart = list(range(n))
@@ -164,9 +202,9 @@ class _PairState:
                 w = base + (j + i) % a
                 t[i], ti[w] = w, i
             self.targets.append((t, ti))
-        # p for sigma_v(p) being set; (tau_j, tau_j^-1, first square of the
-        # cycle, first square of its image) for a sigma_h-cycle entering
-        # tau_j's domain
+        # p for sigma_v(p) being set; None where that fixed b; (tau_j,
+        # tau_j^-1, first square of the cycle, first square of its image)
+        # for a sigma_h-cycle entering tau_j's domain
         self.trail = []
         self.forced = {}
 
@@ -191,8 +229,11 @@ class _PairState:
         sv, svi, a = self.sv, self.svi, self.a
         if sv[p] == q:
             return
-        _apply(sv, svi, self.cstart, self.cend, self.clen, self.b, p, q)
+        b = _apply(sv, svi, self.cstart, self.cend, self.clen, a, self.b, p, q)
         self.trail.append(p)
+        if b != self.b:
+            self.b = b
+            self.trail.append(None)
         self.assigned += 1
         self.touched[p // a] += 1
         self.touched[q // a] += 1
@@ -278,6 +319,9 @@ class _PairState:
                 t, ti, yb, gb = e
                 t[yb:yb + a] = ti[gb:gb + a] = blank
                 continue
+            if e is None:
+                self.b = None
+                continue
             p = e
             q = sv[p]
             sv[p] = svi[q] = -1
@@ -299,96 +343,57 @@ class _PairState:
             clen[sp] -= clen[q]
 
 
-class _ShortWords:
-    """Walks from square 0 of the words x^k y and x y^k, grown with sigma_v.
+def _short_word(sv, a, b) -> bool:
+    """Walking from square 0, does x^k y (1 <= k < a) close in fewer than b
+    steps, or x y^k (1 <= k < b) in fewer than a?
 
-    Word (kh, kv, limit) takes the step g -> sigma_v^kv(sigma_h^kh(g)):
-    (k, 1, b) for 1 <= k < a and (1, k, a) for 1 <= k < b. A walk is
-    followed only while it could still come back to 0 in fewer than limit
-    steps. It waits at the square whose sigma_v value it needs next, so a
-    check visits only the few squares that walks wait at. The undo log
-    holds, per square whose walks moved on, those walks with their step
-    counts, and each square a walk moved on to.
+    A step of x^k y is g -> sigma_v(sigma_h^k(g)), one of x y^k is
+    g -> sigma_v^k(sigma_h(g)).
     """
-
-    def __init__(self, a, b, sv):
-        self.sv, self.a = sv, a
-        self.words = [(k, 1, b) for k in range(1, a)]
-        if a > 1:
-            self.words += [(1, k, a) for k in range(1, b)]
-        self.count = [0] * len(self.words)  # sigma_v steps taken by each walk
-        self.waiting = {}  # square -> the walks waiting at it
-        for w, (kh, _, _) in enumerate(self.words):
-            self.waiting.setdefault(kh, []).append(w)  # sigma_h^kh(0) = kh
-        self.log = []
-
-    def closes_early(self) -> bool:
-        """Move on every walk whose square now has its sigma_v value; True
-        when one of them comes back to square 0 in fewer than limit steps."""
-        sv, a, words, count, waiting, log = (
-            self.sv, self.a, self.words, self.count, self.waiting, self.log)
-        for p in [p for p in waiting if sv[p] != -1]:
-            ws = waiting.pop(p)
-            log.append((p, ws, [count[w] for w in ws]))
-            for w in ws:
-                kh, kv, limit = words[w]
-                x, c = p, count[w]
-                while True:
-                    r = sv[x]
-                    if r == -1:
-                        count[w] = c
-                        waiting.setdefault(x, []).append(w)
-                        log.append(x)
-                        break
-                    c += 1
-                    if c % kv:
-                        x = r
-                        continue
-                    if r == 0:
-                        return True
-                    if c // kv + 1 >= limit:
-                        break  # it can no longer close early
-                    x = r - r % a + (r + kh) % a
-        return False
-
-    def undo(self, mark):
-        """Unwind the log to its length `mark`."""
-        log, waiting, count = self.log, self.waiting, self.count
-        while len(log) > mark:
-            e = log.pop()
-            if type(e) is int:
-                ws = waiting[e]
-                ws.pop()
-                if not ws:
-                    del waiting[e]
-                continue
-            p, ws, counts = e
-            waiting[p] = ws
-            for w, c in zip(ws, counts):
-                count[w] = c
+    for k in range(1, a):
+        g = 0
+        for _ in range(b - 1):
+            g = sv[g - g % a + (g + k) % a]
+            if g == 0:
+                return True
+    if a > 1:
+        vk = sv  # sigma_v^k
+        for k in range(1, b):
+            g = 0
+            for _ in range(a - 1):
+                g = vk[g - g % a + (g + 1) % a]
+                if g == 0:
+                    return True
+            vk = [sv[g] for g in vk]
+    return False
 
 
-def _enumerate_pairs(n, a, b):
-    """Yield completed sigma_v's for sigma_h of type a^(n/a), sigma_v of type b^(n/b)."""
+def _search(n, a) -> list:
+    """The raw pairs with sigma_h of type a^(n/a), in raw order: b ascending,
+    then sigma_v lexicographic. Only transitive pairs with no short word
+    are kept."""
     sh = perms.uniform_cycles(n, a)
-    if b == 1:
-        if a == n:
-            yield sh, perms.identity(n)
-        return
+    if n == 1:
+        return [(sh, perms.identity(1))]
 
     ncyc = n // a
-    st = _PairState(n, a, b)
+    st = _PairState(n, a)
     sv, svi, cstart, clen, touched = st.sv, st.svi, st.cstart, st.clen, st.touched
-    words = _ShortWords(a, b, sv)
+    tau1 = st.targets[0][0]
+    leaves = []  # (b, sigma_v)
 
     def rec():
         if st.assigned == n:
-            yield tuple(sv)
+            # tau_1 is defined exactly on the orbit of square 0
+            if -1 not in tau1 and not _short_word(sv, a, st.b):
+                leaves.append((st.b, tuple(sv)))
             return
         p = sv.index(-1)
         pcyc = p // a
         fresh_leader = next((c * a for c in range(ncyc) if not touched[c] and c != pcyc), None)
         sp = cstart[p]
+        b = st.b
+        room = n if b is None else b
         cands = []
         for q in range(n):
             if svi[q] != -1 or q == p:
@@ -396,9 +401,9 @@ def _enumerate_pairs(n, a, b):
             if not touched[q // a] and q // a != pcyc and q != fresh_leader:
                 continue
             if cstart[q] == sp:
-                if q == sp and clen[sp] == b:
+                if q == sp and _closable(a, b, cstart, clen, clen[sp]):
                     cands.append(q)
-            elif cstart[q] == q and clen[sp] + clen[q] <= b:
+            elif cstart[q] == q and clen[sp] + clen[q] <= room:
                 cands.append(q)
         for q in cands:
             mark = len(st.trail)
@@ -407,24 +412,12 @@ def _enumerate_pairs(n, a, b):
             except _Conflict:
                 st.undo(mark)
                 continue
-            wmark = len(words.log)
-            if not words.closes_early():
-                yield from rec()
-            words.undo(wmark)
+            rec()
             st.undo(mark)
 
-    for svt in rec():
-        yield sh, svt
-
-
-def _blocks(n) -> list:
-    """The (n, a, b) blocks searched, in raw order: a <= b only."""
-    return [(n, a, b) for a in divisors(n) for b in divisors(n) if a <= b]
-
-
-def _pairs_for_block(args) -> list:
-    n, a, b = args
-    return list(_enumerate_pairs(n, a, b))
+    rec()
+    leaves.sort(key=lambda leaf: leaf[0])  # stable: each b stays lexicographic
+    return [(sh, svt) for _, svt in leaves]
 
 
 def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 1) -> list:
@@ -432,9 +425,9 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
 
     Deduplicates by (group isomorphism class, commutator order), which is
     exactly what stratum-existence questions need. Each witness is verified
-    regular before being kept. With several workers the (cycle type,
-    cycle type) blocks run in a process pool; block order keeps the merge
-    deterministic.
+    regular before being kept. With several workers the searches, one per
+    cycle type of sigma_h, run in a process pool; their order keeps the
+    merge deterministic.
     """
     if n < 1:
         raise ValueError(f"square count must be at least 1, got {n}")
@@ -442,19 +435,17 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if n > budget:
         raise BudgetExceeded(f"square count {n} beyond budget {budget}")
-    blocks = _blocks(n)
+    jobs = [(n, a) for a in divisors(n)]
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            pair_lists = pool.map(_pairs_for_block, blocks)
+            pair_lists = pool.starmap(_search, jobs)
     else:
-        pair_lists = [_pairs_for_block(block) for block in blocks]
+        pair_lists = [_search(*job) for job in jobs]
     raw = []
     for pairs in pair_lists:
         for sh, sv in pairs:
-            if not perms.is_transitive_pair(sh, sv):
-                continue
             o = Origami(sh, sv)
             T = translation_group(o)
             if T.order != n:

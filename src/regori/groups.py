@@ -205,11 +205,10 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     if not gens:
         return Subgroup(G, frozenset({G.identity}))
     seeds = {G.commutator(s, t) for s in gens for t in gens}
+    mul = G._mul
     while True:
         H = subgroup_generated(G, seeds)
-        conj = {
-            G.mul(G.mul(g, h), G.inv(g)) for g in gens for h in H.members
-        }
+        conj = {mul(mul(g, h), G.inv(g)) for g in gens for h in H.members}
         new = conj - H.members
         if not new:
             return H
@@ -222,10 +221,11 @@ def derived_subgroup_exhaustive(G: FiniteGroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
+    mul = G._mul
     members = frozenset(
         a
         for a in G.elements()
-        if all(G.mul(a, b) == G.mul(b, a) for b in G.elements())
+        if all(mul(a, b) == mul(b, a) for b in G.elements())
     )
     return Subgroup(G, members)
 
@@ -262,12 +262,13 @@ def _hom_extension_images(G: FiniteGroup, H: FiniteGroup, gens, images):
     """
     f = {G.identity: H.identity}
     queue = [G.identity]
+    gmul, hmul = G._mul, H._mul
     while queue:
         a = queue.pop()
         fa = f[a]
         for g, fg in zip(gens, images):
-            b = G.mul(a, g)
-            fb = H.mul(fa, fg)
+            b = gmul(a, g)
+            fb = hmul(fa, fg)
             known = f.get(b)
             if known is None:
                 f[b] = fb
@@ -287,10 +288,11 @@ def _iter_isomorphisms(G: FiniteGroup, H: FiniteGroup, gens):
     for o in orders:
         pools.append([b for b in H.elements() if H.element_order(b) == o])
     # a homomorphism also keeps the order of each product of two generators
-    pairs = [(i, k, G.element_order(G.mul(gens[i], gens[k])))
+    pairs = [(i, k, G.element_order(G._mul(gens[i], gens[k])))
              for i in range(len(gens)) for k in range(i + 1, len(gens))]
+    hmul = H._mul
     for images in product(*pools):
-        if any(H.element_order(H.mul(images[i], images[k])) != o for i, k, o in pairs):
+        if any(H.element_order(hmul(images[i], images[k])) != o for i, k, o in pairs):
             continue
         f = _hom_extension_images(G, H, gens, images)
         if f is None:

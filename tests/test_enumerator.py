@@ -83,48 +83,108 @@ def test_workers_agree_with_serial():
     assert key(serial) == key(parallel)
 
 
+def _block_reference(n, a, b):
+    """The search of one (a, b) block with b fixed from the start and no
+    short-word prune: every sigma_v of type b^(n/b) it reaches beside
+    sigma_h of type a^(n/a), intransitive ones included, in lexicographic
+    order."""
+    from regori import perms
+    from regori.enumerator import _Conflict, _PairState
+
+    sh = perms.uniform_cycles(n, a)
+    if b == 1:
+        return [(sh, perms.identity(n))] if a == n else []
+    ncyc = n // a
+    st = _PairState(n, a)
+    st.b = b
+    sv, svi, cstart, clen, touched = st.sv, st.svi, st.cstart, st.clen, st.touched
+    leaves = []
+
+    def rec():
+        if st.assigned == n:
+            leaves.append((sh, tuple(sv)))
+            return
+        p = sv.index(-1)
+        pcyc = p // a
+        fresh_leader = next((c * a for c in range(ncyc) if not touched[c] and c != pcyc), None)
+        sp = cstart[p]
+        for q in range(n):
+            if svi[q] != -1 or q == p:
+                continue
+            if not touched[q // a] and q // a != pcyc and q != fresh_leader:
+                continue
+            if cstart[q] == sp:
+                if q != sp or clen[sp] != b:
+                    continue
+            elif cstart[q] != q or clen[sp] + clen[q] > b:
+                continue
+            mark = len(st.trail)
+            try:
+                st.extend(p, q)
+            except _Conflict:
+                st.undo(mark)
+                continue
+            rec()
+            st.undo(mark)
+
+    rec()
+    return leaves
+
+
+def _cycle_length_of_0(sv):
+    g, length = sv[0], 1
+    while g != 0:
+        g, length = sv[g], length + 1
+    return length
+
+
 def _unpruned(monkeypatch):
     """Switch the search back to every (a, b) block and no short-word prune."""
-    from regori import enumerator
+    from regori import enumerator, perms
     from regori.numtheory import divisors
 
-    monkeypatch.setattr(enumerator._ShortWords, "closes_early", lambda self: False)
-    monkeypatch.setattr(
-        enumerator, "_blocks", lambda n: [(n, a, b) for a in divisors(n) for b in divisors(n)]
-    )
+    monkeypatch.setattr(enumerator, "_search", lambda n, a: [
+        pair for b in divisors(n) for pair in _block_reference(n, a, b)
+        if perms.is_transitive_pair(*pair)
+    ])
 
 
 def test_class_representative_search_keeps_output(monkeypatch):
     # the pruned search keeps the first raw member of every class, so the
     # witnesses are the same, and each block's stream only loses pairs
-    from regori import enumerator
+    from regori import enumerator, perms
+    from regori.numtheory import divisors
 
     sizes = range(1, 25)
     key = lambda ws: [
         (w.origami.serialize(), w.stratum.zeros, w.group_order, w.commutator_order) for w in ws
     ]
     pruned = {n: key(enumerate_regular(n)) for n in sizes}
-    streams = {blk: enumerator._pairs_for_block(blk) for n in sizes for blk in enumerator._blocks(n)}
+    for n in sizes:
+        for a in divisors(n):
+            got = enumerator._search(n, a)
+            lengths = [_cycle_length_of_0(sv) for _, sv in got]
+            assert lengths == sorted(lengths) and all(b >= a for b in lengths), (n, a)
+            for b in divisors(n):
+                full = iter(p for p in _block_reference(n, a, b) if perms.is_transitive_pair(*p))
+                pairs = [pair for pair, length in zip(got, lengths) if length == b]
+                assert all(pair in full for pair in pairs), (n, a, b)
     _unpruned(monkeypatch)
     for n in sizes:
         assert key(enumerate_regular(n)) == pruned[n], n
-    for blk, pairs in streams.items():
-        full = iter(enumerator._pairs_for_block(blk))
-        assert all(pair in full for pair in pairs), blk
 
 
-def test_cyclic_pair_with_x_a_power_of_y_is_pruned(monkeypatch):
+def test_cyclic_pair_with_x_a_power_of_y_is_pruned():
     # x = y^16 in Z/32: its image (x y^16, y) = (1, y) lies in block (1, 32)
     from regori import enumerator, perms
 
-    assert enumerator._pairs_for_block((32, 2, 32)) == []
+    assert all(perms.cycle_type(sv) != (32,) for _, sv in enumerator._search(32, 2))
     cyclic = [
         w for w in enumerate_regular(32)
         if w.commutator_order == 1 and w.origami.sigma_h == perms.identity(32)
     ]
     assert len(cyclic) == 1 and perms.cycle_type(cyclic[0].origami.sigma_v) == (32,)
-    _unpruned(monkeypatch)
-    [(sh, sv)] = enumerator._pairs_for_block((32, 2, 32))
+    [(sh, sv)] = _block_reference(32, 2, 32)
     y16 = perms.identity(32)
     for _ in range(16):
         y16 = tuple(sv[i] for i in y16)
@@ -150,25 +210,70 @@ def _closes_early_reference(sv, a, b):
 
 
 @pytest.mark.parametrize("n", (12, 16, 18, 24))
-def test_incremental_short_words_match_fresh_walks(n, monkeypatch):
+def test_one_search_per_a_matches_fixed_b_blocks(n):
+    # grouped by b, the search's leaves are exactly each block's transitive
+    # leaves whose short words do not close early, in the same order
     from collections import Counter
 
-    from regori import enumerator
+    from regori import enumerator, perms
+    from regori.numtheory import divisors
 
     stats = Counter()
-    incremental = enumerator._ShortWords.closes_early
-    block = None
-
-    def checked(self):
-        got = incremental(self)
-        assert got == _closes_early_reference(self.sv, *block[1:]), block
-        stats[got] += 1
-        return got
-
-    monkeypatch.setattr(enumerator._ShortWords, "closes_early", checked)
-    for block in enumerator._blocks(n):
-        enumerator._pairs_for_block(block)
+    for a in divisors(n):
+        got = enumerator._search(n, a)
+        for b in divisors(n):
+            if b < a:
+                continue
+            expected = []
+            for sh, sv in _block_reference(n, a, b):
+                if perms.is_transitive_pair(sh, sv):
+                    early = _closes_early_reference(sv, a, b)
+                    assert enumerator._short_word(sv, a, b) == early, (n, a, b, sv)
+                    stats[early] += 1
+                    if not early:
+                        expected.append((sh, sv))
+            assert [pair for pair in got if _cycle_length_of_0(pair[1]) == b] == expected, (a, b)
     assert stats[True] and stats[False], stats
+
+
+def test_first_closed_cycle_fixes_b():
+    # sigma_h = (0 1 2)(3 4 5)(6 7 8)(9 10 11); chains that avoid the cycle
+    # of square 0 force nothing, so only the closing rule can conflict
+    from regori.enumerator import _Conflict, _PairState
+
+    st = _PairState(12, 3)
+
+    def chain(*squares):
+        for p, q in zip(squares, squares[1:]):
+            st.set(p, q)
+
+    fresh = (st.sv[:], st.svi[:], st.cstart[:], st.cend[:], st.clen[:])
+    for open_chain, cycle in (
+        ((), (3, 4, 3)),  # shorter than a
+        ((), (3, 4, 5, 6, 7, 3)),  # 5 does not divide 12
+        ((3, 4, 5, 6, 7, 8), (9, 10, 11, 9)),  # an open chain is longer
+    ):
+        chain(*open_chain)
+        chain(*cycle[:-1])
+        assert st.b is None
+        with pytest.raises(_Conflict):
+            st.set(cycle[-2], cycle[-1])
+        st.undo(0)
+        assert st.pending() == [] and (st.sv, st.svi, st.cstart, st.cend, st.clen) == fresh
+    chain(3, 4)
+    mark = len(st.trail)
+    chain(9, 10, 11)
+    closing = len(st.trail)
+    st.set(11, 9)
+    assert st.b == 3
+    chain(4, 5)
+    with pytest.raises(_Conflict):
+        st.set(5, 6)  # a chain longer than b
+    st.undo(closing)
+    assert st.b is None and st.sv[11] == st.sv[4] == -1
+    chain(4, 5, 6)  # until b is fixed, chains grow past 3
+    st.undo(mark)
+    assert st.b is None and st.sv[9] == st.sv[4] == -1
 
 
 def _uniform_perms(n, b):
@@ -304,20 +409,21 @@ def _propagate_reference(n, sh, shi, sv, svi):
     return forced
 
 
-def _reference_round(n, b, sh, shi, state, batch):
+def _reference_round(n, a, sh, shi, state, batch):
     """Set the batch on a copy of state, then rebuild: (new state, forced or None)."""
     from regori.enumerator import _apply, _Conflict
 
-    state = tuple(list(s) for s in state)
+    lists, b = state
+    lists = tuple(list(s) for s in lists)
     try:
         for p, q in batch:
-            _apply(*state, b, p, q)
-        return state, _propagate_reference(n, sh, shi, state[0], state[1])
+            b = _apply(*lists, a, b, p, q)
+        return (lists, b), _propagate_reference(n, sh, shi, lists[0], lists[1])
     except _Conflict:
-        return state, None
+        return (lists, b), None
 
 
-def _random_walk(n, a, b, rng, stats):
+def _random_walk(n, a, rng, stats):
     """Descend a random search path, comparing every round with the rebuild.
 
     At each node a random sigma_v(p) = q is tried and its forced values are
@@ -330,9 +436,9 @@ def _random_walk(n, a, b, rng, stats):
 
     sh = perms.uniform_cycles(n, a)
     shi = perms.invert(sh)
-    st = _PairState(n, a, b)
-    bookkeeping = lambda: (st.sv, st.svi, st.cstart, st.cend, st.clen)
-    ref = tuple(list(s) for s in bookkeeping())
+    st = _PairState(n, a)
+    bookkeeping = lambda: ((st.sv, st.svi, st.cstart, st.cend, st.clen), st.b)
+    ref = (tuple(list(s) for s in bookkeeping()[0]), None)
     while st.assigned < n:
         p = st.sv.index(-1)
         cands = [q for q in range(n) if st.svi[q] == -1]
@@ -342,17 +448,18 @@ def _random_walk(n, a, b, rng, stats):
             taus = [(t[:], ti[:]) for t, ti in st.targets]
             batch, state = [(p, q)], ref
             while batch:
-                state, expected = _reference_round(n, b, sh, shi, state, batch)
+                state, expected = _reference_round(n, a, sh, shi, state, batch)
                 try:
                     for fp, fq in batch:
                         st.set(fp, fq)
                     got = dict(st.pending())
                 except _Conflict:
                     got = None
-                assert got == expected, (n, a, b, batch)
+                assert got == expected, (n, a, batch)
                 stats["conflicts" if got is None else "forced" if got else "quiet"] += 1
                 batch = list(got.items()) if got else []
             if got is not None:
+                assert bookkeeping() == state
                 ref = state
                 break
             st.undo(mark)
@@ -360,6 +467,9 @@ def _random_walk(n, a, b, rng, stats):
             assert [(t[:], ti[:]) for t, ti in st.targets] == taus
         else:
             return
+
+
+WALKS_PER_A = 24
 
 
 @pytest.mark.parametrize("n", (12, 16, 18, 24))
@@ -371,9 +481,6 @@ def test_incremental_propagation_matches_rebuild(n):
 
     stats = Counter()
     for a in divisors(n):
-        for b in divisors(n):
-            if b == 1:
-                continue  # sigma_v is the identity; nothing is searched
-            for walk in range(3):
-                _random_walk(n, a, b, random.Random(f"{n},{a},{b},{walk}"), stats)
+        for walk in range(WALKS_PER_A):
+            _random_walk(n, a, random.Random(f"{n},{a},{walk}"), stats)
     assert min(stats["conflicts"], stats["forced"], stats["quiet"]) > 0, stats

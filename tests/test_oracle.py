@@ -93,18 +93,19 @@ def test_exists_projective_witness_sound():
 def test_not_exists_confirmed_by_enumeration():
     from regori.enumerator import enumerate_regular, witnesses_for_stratum
 
+    max_order = 40
     cache = {}
-    for k in range(1, 24):
-        for s in range(1, 24):
+    for k in range(1, max_order):
+        for s in range(1, max_order):
             if (k * s) % 2:
                 continue
             order = (k + 1) * s
-            if order > 24:
+            if order > max_order:
                 continue
             stratum = uniform_stratum(k, s)
             verdict = decide(stratum)
             if order not in cache:
-                cache[order] = enumerate_regular(order, budget=24)
+                cache[order] = enumerate_regular(order, budget=max_order)
             hits = witnesses_for_stratum(cache[order], stratum)
             if verdict.status == NOT_EXISTS:
                 assert not hits, (k, s)

@@ -8,6 +8,7 @@ order-3 twist families built over the Klein group and the quaternions.
 from __future__ import annotations
 
 from math import gcd
+from operator import xor
 
 from .errors import InternalAssertion, NoSuchAction, OutOfRange
 from .groups import FiniteGroup, generates
@@ -26,10 +27,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Product group with element (a, b) indexed as a*|H| + b."""
     m = H.order
 
-    def mul(x, y, _G=G, _H=H, _m=m):
+    def mul(x, y, _gmul=G.mul, _hmul=H.mul, _m=m):
         a1, b1 = divmod(x, _m)
         a2, b2 = divmod(y, _m)
-        return _G.mul(a1, a2) * _m + _H.mul(b1, b2)
+        return _gmul(a1, a2) * _m + _hmul(b1, b2)
 
     def coords(x, _G=G, _m=m):
         a, b = divmod(x, _m)
@@ -166,15 +167,40 @@ def quaternions() -> FiniteGroup:
     return FiniteGroup(8, _q8_mul, identity=0, label="Q8", coords=lambda u: Q8_NAMES[u])
 
 
-# order-3 twist of Q8: i -> -j -> -k -> i, fixing +-1
-_Q8_THETA = (0, 1, 5, 4, 6, 7, 3, 2)
+def _twist_witness(lam, core, core_label, core_mul, theta, core_coords, x_core, y_core,
+                   comm_order, name):
+    """(Z/lam x K) : Z/3 for a core K of the given order with an order-3
+    automorphism theta (a tuple of images), and its standard generating pair.
 
+    The generator of Z/3 acts on Z/lam by an order-3 multiplier r and on K
+    by theta. Element ((a, q), c) is indexed as (a*|K| + q)*3 + c; x is
+    ((1, x_core), 0), y is ((0, y_core), 1), and [x, y] must have order
+    comm_order.
+    """
+    r = find_order3_multiplier(lam)
+    rp = [1 % lam, r % lam if lam > 1 else 0, (r * r) % lam if lam > 1 else 0]
+    tw = [tuple(range(core)), theta, tuple(theta[q] for q in theta)]
 
-def _theta_pow(perm, times, size):
-    out = list(range(size))
-    for _ in range(times):
-        out = [perm[v] for v in out]
-    return tuple(out)
+    def mul(e1, e2, _lam=lam, _core=core, _rp=rp, _tw=tw, _core_mul=core_mul):
+        w1, c1 = divmod(e1, 3)
+        w2, c2 = divmod(e2, 3)
+        a1, q1 = divmod(w1, _core)
+        a2, q2 = divmod(w2, _core)
+        a = (a1 + _rp[c1] * a2) % _lam
+        return (a * _core + _core_mul(q1, _tw[c1][q2])) * 3 + (c1 + c2) % 3
+
+    def coords(e, _core=core):
+        w, c = divmod(e, 3)
+        a, q = divmod(w, _core)
+        return [[a, *core_coords(q)], c]
+
+    G = FiniteGroup(3 * core * lam, mul, identity=0, label=f"(Z/{lam} x {core_label}) : Z/3",
+                    coords=coords)
+    x = ((1 % lam) * core + x_core) * 3
+    y = y_core * 3 + 1
+    if G.element_order(G.commutator(x, y)) != comm_order or not generates(G, (x, y)):
+        raise InternalAssertion(f"{name} witness failed verification")
+    return G, x, y
 
 
 def klein_witness(lam: int):
@@ -184,78 +210,19 @@ def klein_witness(lam: int):
     commutator of the pair has order 2*lam. The twist acts on Z/lam by an
     order-3 multiplier r and on the Klein factor by (u, v) -> (u+v, u).
     """
-    r = find_order3_multiplier(lam)
-    rp = [1 % lam, r % lam if lam > 1 else 0, (r * r) % lam if lam > 1 else 0]
-    # klein twist (u,v) -> (u+v, u), iterated
-    ktw = [
-        [(u, v) for u in range(2) for v in range(2)],
-        [((u + v) % 2, u) for u in range(2) for v in range(2)],
-        [(v, (u + v) % 2) for u in range(2) for v in range(2)],
-    ]
-    # element ((a, u, v), c) indexed as ((a*2 + u)*2 + v)*3 + c
-    n = 12 * lam
-
-    def mul(e1, e2, _lam=lam, _rp=rp, _ktw=ktw):
-        w1, c1 = divmod(e1, 3)
-        w2, c2 = divmod(e2, 3)
-        au1, v1 = divmod(w1, 2)
-        a1, u1 = divmod(au1, 2)
-        au2, v2 = divmod(w2, 2)
-        a2, u2 = divmod(au2, 2)
-        tu, tv = _ktw[c1][u2 * 2 + v2]
-        a = (a1 + _rp[c1] * a2) % _lam
-        return ((a * 2 + (u1 + tu) % 2) * 2 + (v1 + tv) % 2) * 3 + (c1 + c2) % 3
-
-    def coords(e, _lam=lam):
-        w, c = divmod(e, 3)
-        au, v = divmod(w, 2)
-        a, u = divmod(au, 2)
-        return [[a, u, v], c]
-
-    G = FiniteGroup(n, mul, identity=0, label=f"(Z/{lam} x Z/2 x Z/2) : Z/3", coords=coords)
-    x = ((1 % lam) * 2 + 1) * 2 * 3  # ((1,1,0),0)
-    y = 1 * 3 + 1  # ((0,0,1),1)
-    comm = G.commutator(x, y)
-    if G.element_order(comm) != 2 * lam or not generates(G, (x, y)):
-        raise InternalAssertion("klein witness failed verification")
-    return G, x, y
+    # (u, v) indexed as u*2 + v, so the product is XOR
+    return _twist_witness(lam, core=4, core_label="Z/2 x Z/2", core_mul=xor,
+                          theta=(0, 2, 3, 1), core_coords=lambda q: list(divmod(q, 2)),
+                          x_core=2, y_core=1, comm_order=2 * lam, name="klein")
 
 
 def q8_witness(lam: int):
     """(Z/lam x Q8) : Z/3 with generators x = ((1,i),0), y = ((0,k),1).
 
     The commutator of the pair has order 4*lam. The twist rotates the
-    quaternion axes with period three and acts on Z/lam by an order-3
-    multiplier.
+    quaternion axes with period three (i -> -j -> -k -> i, fixing +-1) and
+    acts on Z/lam by an order-3 multiplier.
     """
-    r = find_order3_multiplier(lam)
-    rp = [1 % lam, r % lam if lam > 1 else 0, (r * r) % lam if lam > 1 else 0]
-    qtw = [_theta_pow(_Q8_THETA, t, 8) for t in range(3)]
-    n = 24 * lam
-
-    def mul(e1, e2, _lam=lam, _rp=rp, _qtw=qtw):
-        w1, c1 = divmod(e1, 3)
-        w2, c2 = divmod(e2, 3)
-        a1, q1 = divmod(w1, 8)
-        a2, q2 = divmod(w2, 8)
-        a = (a1 + _rp[c1] * a2) % _lam
-        q = _q8_mul(q1, _qtw[c1][q2])
-        return (a * 8 + q) * 3 + (c1 + c2) % 3
-
-    def coords(e, _lam=lam):
-        w, c = divmod(e, 3)
-        a, q = divmod(w, 8)
-        return [[a, Q8_NAMES[q]], c]
-
-    G = FiniteGroup(n, mul, identity=0, label=f"(Z/{lam} x Q8) : Z/3", coords=coords)
-    x = ((1 % lam) * 8 + 2) * 3  # ((1, i), 0); i has index 2
-    y = (0 * 8 + 6) * 3 + 1  # ((0, k), 1); k has index 6
-    comm = G.commutator(x, y)
-    if G.element_order(comm) != 4 * lam or not generates(G, (x, y)):
-        raise InternalAssertion("quaternion witness failed verification")
-    return G, x, y
-
-
-def metacyclic_derived_order(m: int, n: int, d: int) -> int:
-    """Expected |G'| for semidirect_cyclic(m, n, d): m / gcd(d - 1, m)."""
-    return m // gcd(d - 1, m)
+    return _twist_witness(lam, core=8, core_label="Q8", core_mul=_q8_mul,
+                          theta=(0, 1, 5, 4, 6, 7, 3, 2), core_coords=lambda q: [Q8_NAMES[q]],
+                          x_core=2, y_core=6, comm_order=4 * lam, name="quaternion")

@@ -12,6 +12,7 @@ groups, subgroups on indices, and the SL(2,p) matrix groups of `sl2`.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from . import perms
 from .errors import BudgetExceeded, DegreeMismatch, NotGenerating
@@ -26,7 +27,8 @@ class FiniteGroup:
         if order < 1:
             raise ValueError("order must be positive")
         self.order = order
-        self._mul = mul
+        # the product on indices, a plain attribute so inner loops call it directly
+        self.mul = mul
         self.identity = identity
         self.label = label or f"group of order {order}"
         # optional pretty-printer for structured elements, used in reports
@@ -43,9 +45,6 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        return self._mul(a, b)
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
@@ -53,8 +52,8 @@ class FiniteGroup:
         base = a
         while k:
             if k & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                result = self.mul(result, base)
+            base = self.mul(base, base)
             k >>= 1
         return result
 
@@ -64,7 +63,7 @@ class FiniteGroup:
             return cached
         k, x = 1, a
         while x != self.identity:
-            x = self._mul(x, a)
+            x = self.mul(x, a)
             k += 1
         self._orders[a] = k
         return k
@@ -79,8 +78,8 @@ class FiniteGroup:
         return b
 
     def commutator(self, a: int, b: int) -> int:
-        ab = self._mul(a, b)
-        return self._mul(ab, self._mul(self.inv(a), self.inv(b)))
+        ab = self.mul(a, b)
+        return self.mul(ab, self.mul(self.inv(a), self.inv(b)))
 
     def coords(self, a: int):
         return self._coords(a) if self._coords else a
@@ -98,7 +97,7 @@ class FiniteGroup:
         if self._root_spectrum is None:
             roots = [0] * self.order
             for a in self.elements():
-                roots[self._mul(a, a)] += 1
+                roots[self.mul(a, a)] += 1
             counts = {}
             for a in self.elements():
                 key = (self.element_order(a), roots[a])
@@ -108,22 +107,22 @@ class FiniteGroup:
 
     def right_translation(self, x: int) -> tuple:
         """The permutation g -> g*x of the element indices."""
-        return tuple(self._mul(g, x) for g in self.elements())
+        return tuple(self.mul(g, x) for g in self.elements())
 
     def check_axioms(self):
         """Exhaustive associativity / identity / inverse check. O(n^3): small groups only."""
         n = self.order
         e = self.identity
         for a in range(n):
-            if self._mul(a, e) != a or self._mul(e, a) != a:
+            if self.mul(a, e) != a or self.mul(e, a) != a:
                 raise AssertionError(f"{e} is not an identity at {a}")
-            if self._mul(a, self.inv(a)) != e or self._mul(self.inv(a), a) != e:
+            if self.mul(a, self.inv(a)) != e or self.mul(self.inv(a), a) != e:
                 raise AssertionError(f"no two-sided inverse for {a}")
         for a in range(n):
             for b in range(n):
-                ab = self._mul(a, b)
+                ab = self.mul(a, b)
                 for c in range(n):
-                    if self._mul(ab, c) != self._mul(a, self._mul(b, c)):
+                    if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
                         raise AssertionError(f"associativity fails at ({a},{b},{c})")
 
 
@@ -187,7 +186,7 @@ def closure_from_generators(gens, budget: int, label: str = "") -> FiniteGroup:
 
 def subgroup_generated(G: FiniteGroup, elems) -> Subgroup:
     """Closure of a set of elements under multiplication (BFS on indices)."""
-    return Subgroup(G, frozenset(closure(G.identity, list(elems), G._mul)))
+    return Subgroup(G, frozenset(closure(G.identity, list(elems), G.mul)))
 
 
 def generates(G: FiniteGroup, elems) -> bool:
@@ -205,7 +204,7 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     if not gens:
         return Subgroup(G, frozenset({G.identity}))
     seeds = {G.commutator(s, t) for s in gens for t in gens}
-    mul = G._mul
+    mul = G.mul
     while True:
         H = subgroup_generated(G, seeds)
         conj = {mul(mul(g, h), G.inv(g)) for g in gens for h in H.members}
@@ -221,7 +220,7 @@ def derived_subgroup_exhaustive(G: FiniteGroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    mul = G._mul
+    mul = G.mul
     members = frozenset(
         a
         for a in G.elements()
@@ -239,7 +238,8 @@ def generating_set(G: FiniteGroup) -> list:
     """
     if G.order == 1:
         return []
-    ranked = sorted(G.elements(), key=lambda a: (-G.element_order(a), a))
+    orders = _all_element_orders(G)
+    ranked = sorted(G.elements(), key=lambda a: (-orders[a], a))
     gens = []
     current = {G.identity}
     for a in ranked:
@@ -252,6 +252,26 @@ def generating_set(G: FiniteGroup) -> list:
     raise AssertionError("scan exhausted without generating")  # pragma: no cover
 
 
+def _all_element_orders(G: FiniteGroup) -> dict:
+    """Fill G's order cache for every element, one walk per cyclic subgroup.
+
+    Walking the powers a, a^2, ..., a^k = 1 of an element of order k gives
+    every power its order at once: ord(a^i) = k / gcd(i, k).
+    """
+    orders = G._orders
+    mul, e = G.mul, G.identity
+    for a in G.elements():
+        if a in orders:
+            continue
+        powers = [a]
+        while powers[-1] != e:
+            powers.append(mul(powers[-1], a))
+        k = len(powers)
+        for i, b in enumerate(powers, 1):
+            orders[b] = k // gcd(i, k)
+    return orders
+
+
 def _hom_extension_images(G: FiniteGroup, H: FiniteGroup, gens, images):
     """Extend gens -> images to a map on all of G, or return None.
 
@@ -262,7 +282,7 @@ def _hom_extension_images(G: FiniteGroup, H: FiniteGroup, gens, images):
     """
     f = {G.identity: H.identity}
     queue = [G.identity]
-    gmul, hmul = G._mul, H._mul
+    gmul, hmul = G.mul, H.mul
     while queue:
         a = queue.pop()
         fa = f[a]
@@ -288,9 +308,9 @@ def _iter_isomorphisms(G: FiniteGroup, H: FiniteGroup, gens):
     for o in orders:
         pools.append([b for b in H.elements() if H.element_order(b) == o])
     # a homomorphism also keeps the order of each product of two generators
-    pairs = [(i, k, G.element_order(G._mul(gens[i], gens[k])))
+    pairs = [(i, k, G.element_order(G.mul(gens[i], gens[k])))
              for i in range(len(gens)) for k in range(i + 1, len(gens))]
-    hmul = H._mul
+    hmul = H.mul
     for images in product(*pools):
         if any(H.element_order(hmul(images[i], images[k])) != o for i, k, o in pairs):
             continue

@@ -1,5 +1,5 @@
 """Exact integer arithmetic: factorization, CRT, the prime progressions,
-two-square representations, and the semidirect existence criterion."""
+and the semidirect existence criterion."""
 
 from __future__ import annotations
 
@@ -191,43 +191,6 @@ def cofactor_z(m: int, p: int) -> int:
     if num % den:
         raise InternalAssertion(f"cofactor for p={p}, m={m} is not integral")
     return num // den
-
-
-def _sqrt_table(p: int) -> dict:
-    """Smallest nonnegative square root for each quadratic residue mod p."""
-    table = {}
-    for t in range(p):
-        sq = t * t % p
-        if sq not in table:
-            table[sq] = t
-    return table
-
-
-def sum_two_squares(p: int, a: int):
-    """Two representations of a as a sum of nonzero squares mod p.
-
-    Scans s ascending and picks the smallest matching t, then continues to
-    the first representation whose square set is disjoint from the first.
-    Exists for every nonzero a once p >= 17.
-    """
-    if not is_prime(p) or p < 17:
-        raise PreconditionViolated(f"need a prime p >= 17, got {p}")
-    a %= p
-    if a == 0:
-        raise PreconditionViolated("a must be nonzero mod p")
-    roots = _sqrt_table(p)
-    first = None
-    for s in range(1, p):
-        t = roots.get((a - s * s) % p)
-        if t is None or t == 0:
-            continue
-        if first is None:
-            first = (s, t)
-            continue
-        s1, t1 = first
-        if {s * s % p, t * t % p}.isdisjoint({s1 * s1 % p, t1 * t1 % p}):
-            return first, (s, t)
-    raise InternalAssertion(f"no disjoint two-square representations for {a} mod {p}")
 
 
 # Z/m twisted by Z/n through multiplication by d

@@ -2,8 +2,8 @@
 
 Covers exact arithmetic, elements of prescribed order, the two-trace
 generation test, an orbit-stabilizer closure order, generating pairs with a
-prescribed commutator order, and the projective family feeding the
-translation-group search.
+prescribed commutator order, and the indexed PSL(2,p) group that
+`witnesses.materialize` builds for a psl(P,D) descriptor.
 
 A `Mat2` is the namedtuple (p, a, b, c, d), so `M[1:]` is its bare 4-tuple
 of entries. `_product` multiplies such 4-tuples mod p, and `groups.closure`
@@ -24,7 +24,7 @@ from .errors import (
     OrderTooSmall,
     PreconditionViolated,
 )
-from .numtheory import _sqrt_table, factorize, is_prime
+from .numtheory import factorize, is_prime
 
 DEFAULT_SL2_CAP = 101
 
@@ -222,6 +222,11 @@ def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
     return len(column) * stabilizer
 
 
+def _sqrt_table(p: int) -> dict:
+    """Smallest nonnegative square root for each quadratic residue mod p."""
+    return {t * t % p: t for t in range(p - 1, -1, -1)}  # smaller roots written last
+
+
 def _two_square_reps(p: int, a: int):
     """All (s, t) with s, t nonzero and s^2 + t^2 = a mod p, scan order."""
     roots = _sqrt_table(p)
@@ -284,17 +289,16 @@ _SPECIAL_PAIRS = {
 }
 
 
-def psl_group(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP):
+def psl_group(p: int, A: Mat2, B: Mat2):
     """PSL(2,p) generated by the images of A and B, as an indexed group.
 
     The full matrix closure is built first, in breadth-first order; classes
     {M, -M} are numbered in order of discovery and kept as their smaller
-    4-tuple. Returns (group, a, b).
+    4-tuple. Returns (group, a, b). Callers bound the cost by the group
+    order, p(p^2 - 1)/2, before calling (`regori --closure-budget`).
     """
     from .groups import FiniteGroup, closure
 
-    if p > cap:
-        raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)
     ident, gens = (1, 0, 0, 1), (A[1:], B[1:])
     sl = closure(ident, gens, partial(_product, p))
@@ -322,34 +326,3 @@ def psl_group(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP):
         coords=lambda i: list(reps[i]),
     )
     return G, index[gens[0]], index[gens[1]]
-
-
-def psl_family(m: int, p: int, k: int, cap: int = DEFAULT_SL2_CAP):
-    """Regular-origami data (group, x, y, genus) over PSL(2,p) x Z/k.
-
-    The generating pair downstairs has commutator order 2(m+1); upstairs it
-    projects to order m+1, and the cyclic factor is threaded through the
-    coprime split. Genus comes back as k*m*p(p-1)(p+1) / (4(m+1)) + 1.
-    """
-    if not is_prime(m) or m < 5 or m % 3 != 2:
-        raise PreconditionViolated(f"need a prime m >= 5 with m = 2 mod 3, got {m}")
-    if k < 1:
-        raise PreconditionViolated("k must be positive")
-    d = 2 * (m + 1)
-    A, B = build_generating_pair(p, d)
-    G, a, b = psl_group(p, A, B, cap=cap)
-    comm = G.commutator(a, b)
-    if G.element_order(comm) != m + 1:
-        raise InternalAssertion("projective commutator order drifted")
-    if k > 1:
-        from .origami import extend_by_cyclic
-
-        G, a, b = extend_by_cyclic(G, a, b, k)
-    genus_num = k * m * p * (p - 1) * (p + 1)
-    genus_den = 4 * (m + 1)
-    if genus_num % genus_den:
-        raise InternalAssertion("genus formula not integral")
-    genus = genus_num // genus_den + 1
-    if G.order * m != 2 * (m + 1) * (genus - 1):
-        raise InternalAssertion("order and genus disagree")
-    return G, a, b, genus

@@ -37,8 +37,24 @@ def _split_args(body: str) -> list:
     return parts
 
 
+# each head's argument kinds and usage: "n" an integer, "d" any descriptor,
+# and a head such as "c" a descriptor with that head
+_SIGNATURES = {
+    "c": ("n", "c(N)"),
+    "sd": ("nnn", "sd(M,N,D)"),
+    "dp": ("dc", "dp(DESC,c(K))"),
+    "klein": ("n", "klein(L)"),
+    "q8w": ("n", "q8w(L)"),
+    "psl": ("nn", "psl(P,D)"),
+}
+
+
 def parse_descriptor(text: str):
-    """(head, args) with args parsed recursively; numbers become ints."""
+    """(head, args) with args parsed recursively; numbers become ints.
+
+    Raises ValueError unless every head is known and has the arguments the
+    grammar gives it, so the functions below trust a parsed node.
+    """
     text = text.strip()
     i = text.find("(")
     if i < 0 or not text.endswith(")"):
@@ -52,6 +68,14 @@ def parse_descriptor(text: str):
             args.append(int(part))
         else:
             args.append(parse_descriptor(part))
+    if head not in _SIGNATURES:
+        raise ValueError(f"unknown descriptor head {head!r}")
+    kinds, usage = _SIGNATURES[head]
+    if len(args) != len(kinds) or not all(
+        isinstance(a, int) if k == "n" else isinstance(a, tuple) and k in ("d", a[0])
+        for k, a in zip(kinds, args)
+    ):
+        raise ValueError(f"bad descriptor {text!r}: expected {usage}")
     return head, tuple(args)
 
 
@@ -81,13 +105,11 @@ def _materialize(node):
         x, y = cons.semidirect_generators(m, n)
         return G, x, y
     if head == "dp":
-        base, ext = args
-        if not (isinstance(ext, tuple) and ext[0] == "c"):
-            raise ValueError(f"extension factor must be cyclic: {_fmt(node)}")
         from .origami import extend_by_cyclic
 
+        base, (_, (k,)) = args
         G, x, y = _materialize(base)
-        return extend_by_cyclic(G, x, y, ext[1][0])
+        return extend_by_cyclic(G, x, y, k)
     if head == "klein":
         (lam,) = args
         return cons.klein_witness(lam)
@@ -99,7 +121,6 @@ def _materialize(node):
 
         p, _ = args
         return psl_group(p, *_psl_pair(*args))
-    raise ValueError(f"unknown descriptor head {head!r}")
 
 
 @lru_cache(maxsize=32)
@@ -126,7 +147,6 @@ def descriptor_order(desc) -> int:
     if head == "psl":
         p = args[0]
         return p * (p - 1) * (p + 1) // 2
-    raise ValueError(f"unknown descriptor head {head!r}")
 
 
 def descriptor_generator_orders(desc) -> tuple:
@@ -156,7 +176,6 @@ def descriptor_generator_orders(desc) -> tuple:
 
         A, B = _psl_pair(*args)
         return proj_order(A), proj_order(B)
-    raise ValueError(f"unknown descriptor head {head!r}")
 
 
 def extension_slack_ok(desc: str, k: int) -> bool:
@@ -199,7 +218,6 @@ def _coords(node) -> tuple:
             return list(min(mat, tuple(-v % p for v in mat)))
 
         return tuple(projective_class(M) for M in _psl_pair(*args))
-    raise ValueError(f"unknown descriptor head {head!r}")
 
 
 def generator_coords(desc: str):
@@ -233,7 +251,6 @@ def _commutator_order(node) -> int:
         from .sl2 import commutator, proj_order
 
         return proj_order(commutator(*_psl_pair(*args)))
-    raise ValueError(f"unknown descriptor head {head!r}")
 
 
 def _certify_generation(node) -> None:
@@ -283,8 +300,6 @@ def _certify_generation(node) -> None:
             generated = sl2.closure_order(p, A, B) == p * (p - 1) * (p + 1)
         if not generated:
             raise InternalAssertion(f"the pair of {_fmt(node)} does not generate SL(2,{p})")
-    elif head != "c":
-        raise ValueError(f"unknown descriptor head {head!r}")
 
 
 def certify(desc: str, k: int, l: int) -> tuple:

@@ -137,6 +137,21 @@ def test_regular_origami_rejects_malformed_gens(capsys):
         assert "--gens takes two comma-separated element indices x,y" in captured.err
 
 
+def test_regular_origami_rejects_malformed_descriptors(capsys):
+    for group, usage in (
+        ("c()", "c(N)"),
+        ("dp(c(5))", "dp(DESC,c(K))"),
+        ("c(sd(11,5,3))", "c(N)"),
+        ("sd(11,5)", "sd(M,N,D)"),
+        ("psl(11)", "psl(P,D)"),
+        ("klein(7,1)", "klein(L)"),
+    ):
+        assert main(["regular-origami", "--group", group]) == 2, group
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad descriptor {group!r}: expected {usage}\n"
+
+
 def test_psl_pair(capsys):
     code, payload = run_json(capsys, "psl-pair", "11", "12")
     assert code == 0

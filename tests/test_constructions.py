@@ -10,7 +10,6 @@ from regori.constructions import (
     direct_product,
     find_order3_multiplier,
     klein_witness,
-    metacyclic_derived_order,
     q8_witness,
     quaternions,
     semidirect_cyclic,
@@ -120,6 +119,40 @@ def test_twist_witnesses_all_admissible():
             find_order3_multiplier(lam)
 
 
+# sha256 of the JSON list of `G.coords(i)` for every element index, and of
+# the full product table [[G.mul(a, b) for b] for a], with the order, label
+# and generator pair of each twist witness: the numbering that witnesses and
+# the CLI report must not drift
+TWIST_PINS = {
+    ("klein", 1): (12, "(Z/1 x Z/2 x Z/2) : Z/3", 6, 4,
+                   "e887e45f128e9f9f7bfb43f38c88c3a1e27b064033b97273e21ec35911a52e9a",
+                   "82a70e1d3d9cf08f75db84e1f74f3456f4b4d6355364d4904660543318f26ee8"),
+    ("klein", 7): (84, "(Z/7 x Z/2 x Z/2) : Z/3", 18, 4,
+                   "c8c4a8a3366ac11ffcd0be870b253cfef6d7da9b6693a7bc5ad373c4b8b26985",
+                   "5bcc3291805a4334814ec984aec0e0c5604d0b2a175bd4a4c16f92ffb5a19a1d"),
+    ("q8w", 1): (24, "(Z/1 x Q8) : Z/3", 6, 19,
+                 "083784360a94d3e36e3c32ea678c34b37699d58c79217258cb54c9ee57d44d93",
+                 "36deefa9a273ed0eba76ca11884606f3fd83d60679cc31956379ca427d32b896"),
+    ("q8w", 7): (168, "(Z/7 x Q8) : Z/3", 30, 19,
+                 "14bc4d21446c0f9c34f5f70854bd90deaf4ab45ec771acecf259c82b5acad322",
+                 "ae911b01902b1b77dcd11ca199c6fd7e3434b6b5621cf93139372a0e124ac5c1"),
+}
+
+
+@pytest.mark.parametrize("family, lam", sorted(TWIST_PINS))
+def test_twist_witness_numbering_is_pinned(family, lam):
+    import hashlib
+    import json
+
+    G, x, y = {"klein": klein_witness, "q8w": q8_witness}[family](lam)
+    order, label, px, py, coords_digest, table_digest = TWIST_PINS[(family, lam)]
+    assert (G.order, G.label, x, y) == (order, label, px, py)
+    coords = json.dumps([G.coords(i) for i in range(G.order)]).encode()
+    assert hashlib.sha256(coords).hexdigest() == coords_digest
+    table = json.dumps([[G.mul(a, b) for b in range(G.order)] for a in range(G.order)]).encode()
+    assert hashlib.sha256(table).hexdigest() == table_digest
+
+
 def test_semidirect_derived_sweep_to_720():
     for m in range(2, 100):
         for n in range(2, 25):
@@ -129,7 +162,7 @@ def test_semidirect_derived_sweep_to_720():
                 if gcd(d, m) != 1 or pow(d, n, m) != 1:
                     continue
                 G = semidirect_cyclic(m, n, d)
-                assert derived_subgroup(G).order == metacyclic_derived_order(m, n, d)
+                assert derived_subgroup(G).order == m // gcd(d - 1, m), (m, n, d)
 
 
 def test_group_axioms_for_witnesses():

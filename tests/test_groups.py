@@ -192,16 +192,3 @@ def test_derived_subgroup_matches_exhaustive_definition():
         closure_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)], budget=24),
     ):
         assert derived_subgroup(G).members == derived_subgroup_exhaustive(G).members
-
-
-def test_metacyclic_derived_order_sweep():
-    # derived subgroup order is m / gcd(d - 1, m) across all valid twists
-    from math import gcd
-
-    for m in range(2, 61):
-        for n in range(2, 13):
-            for d in range(2, m):
-                if gcd(d, m) != 1 or pow(d, n, m) != 1:
-                    continue
-                G = semidirect_cyclic(m, n, d)
-                assert derived_subgroup(G).order == m // gcd(d - 1, m), (m, n, d)

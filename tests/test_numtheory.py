@@ -1,4 +1,4 @@
-"""Integer routines: factorization, CRT, progressions, two squares, witnesses."""
+"""Integer routines: factorization, CRT, progressions, witnesses."""
 
 from math import gcd
 
@@ -12,7 +12,6 @@ from regori.errors import (
     CoprimalityViolated,
     IncompatibleCongruences,
     InvalidModulus,
-    PreconditionViolated,
 )
 
 
@@ -88,33 +87,6 @@ def test_smallest_progression_primes():
     assert nt.smallest_progression_prime(5) == 11
     assert nt.smallest_progression_prime(11) == 23
     assert nt.smallest_progression_prime(17) == 37
-
-
-def test_sum_two_squares_example():
-    (s1, t1), (s2, t2) = nt.sum_two_squares(17, 1)
-    assert (s1, t1) == (3, 3)
-    assert (s2, t2) == (4, 6)
-    assert (s1 * s1 + t1 * t1) % 17 == 1
-    assert (s2 * s2 + t2 * t2) % 17 == 1
-
-
-def test_sum_two_squares_preconditions():
-    with pytest.raises(PreconditionViolated):
-        nt.sum_two_squares(13, 1)
-    with pytest.raises(PreconditionViolated):
-        nt.sum_two_squares(17, 0)
-
-
-def test_sum_two_squares_disjoint_everywhere_to_499():
-    for p in range(17, 500):
-        if not nt.is_prime(p):
-            continue
-        for a in range(1, p):
-            (s1, t1), (s2, t2) = nt.sum_two_squares(p, a)
-            for s, t in ((s1, t1), (s2, t2)):
-                assert s % p and t % p
-                assert (s * s + t * t) % p == a
-            assert {s1 * s1 % p, t1 * t1 % p}.isdisjoint({s2 * s2 % p, t2 * t2 % p})
 
 
 def test_semidirect_exists_examples():

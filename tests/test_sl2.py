@@ -5,6 +5,7 @@ import random
 import pytest
 
 from regori import sl2
+from regori.numtheory import is_prime
 from regori.errors import (
     BudgetExceeded,
     ModulusMismatch,
@@ -258,16 +259,30 @@ def test_mw_matches_closure_on_random_pairs():
 
 
 def test_psl_group_and_family():
-    G, a, b, genus = sl2.psl_family(5, 11, 1)
-    assert G.order == 660
-    assert genus == 276
-    assert G.element_order(G.commutator(a, b)) == 6
-    G, a, b, genus = sl2.psl_family(5, 13, 1)
-    assert G.order == 1092
-    assert genus == 456
-    G, a, b, genus = sl2.psl_family(5, 11, 7)
-    assert G.order == 4620
-    assert genus == 7 * 275 + 1
+    # PSL(2,p) and PSL(2,p) x Z/k are built only through their descriptors;
+    # the pair has commutator order 12 downstairs and 6 in the quotient
+    from regori.origami import genus_of, regular_origami
+    from regori.witnesses import materialize
+
+    for desc, order, genus in (("psl(11,12)", 660, 276), ("psl(13,12)", 1092, 456),
+                               ("dp(psl(11,12),c(7))", 4620, 1926)):
+        G, a, b = materialize(desc)
+        assert G.order == order, desc
+        assert G.element_order(G.commutator(a, b)) == 6, desc
+        assert genus_of(regular_origami(G, a, b)) == genus, desc
+
+
+def test_two_square_reps_match_brute_force():
+    for p in range(17, 200):
+        if not is_prime(p):
+            continue
+        nonzero_roots = {}  # filled downwards, so each square keeps its smallest root
+        for t in range(p - 1, 0, -1):
+            nonzero_roots[t * t % p] = t
+        for a in range(1, p):
+            expected = [(s, nonzero_roots[(a - s * s) % p]) for s in range(1, p)
+                        if (a - s * s) % p in nonzero_roots]
+            assert list(sl2._two_square_reps(p, a)) == expected, (p, a)
 
 
 def test_psl_family_table_row_m11():

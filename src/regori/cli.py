@@ -22,6 +22,20 @@ def _worker_default() -> int:
         return 1
 
 
+def _int_from(low: int):
+    """An argparse type: an int no smaller than low, else a usage error
+    naming the flag."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message for text that is no int
+    return parse
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a subcommand from clobbering flags given before it
     parser.add_argument(
@@ -30,9 +44,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
                         help="write to FILE instead of stdout")
     parser.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--closure-budget", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--enum-budget", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--sl2-cap", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--closure-budget", type=_int_from(1), default=argparse.SUPPRESS)
+    parser.add_argument("--enum-budget", type=_int_from(1), default=argparse.SUPPRESS)
+    parser.add_argument("--sl2-cap", type=_int_from(1), default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("t-of-g", help="maximal translation count in genus g")
     p.add_argument("g", type=int)
-    p.add_argument("--budget", type=int, default=0, help="resolve unknowns by enumeration up to this group order")
+    p.add_argument("--budget", type=_int_from(0), default=0, help="resolve unknowns by enumeration up to this group order")
 
     p = add_command("one-cylinder", help="the 2(g-1)-translation origami")
     p.add_argument("g", type=int)
@@ -87,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("appendix-a", "summary-gm"))
     p.add_argument("--rows", help="comma-separated genera (appendix-a)")
     p.add_argument("--m-max", type=int, default=25, help="largest order (summary-gm)")
-    p.add_argument("--budget", type=int, default=0)
+    p.add_argument("--budget", type=_int_from(0), default=0)
 
     p = add_command("verify-appendix-b", help="criterion vs brute force over a grid")
     p.add_argument("umax", type=int)

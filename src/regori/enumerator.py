@@ -8,7 +8,7 @@ cycle length b of sigma_v is left open until its first cycle closes,
 which fixes it; before that, chains may grow to any length. The search
 finds every regular pair with ord x = a up to relabelling, for every b.
 
-Three devices keep the tree small:
+These devices keep the tree small:
 
 * translation propagation: for every target square j, the partial
   translation sending 0 to j is kept across the whole search and grown
@@ -17,8 +17,19 @@ Three devices keep the tree small:
   search, Sims, *Computation with Finitely Presented Groups*, ch. 5). A
   conflict kills the branch, and values it forces on sigma_v are applied
   at once (this realizes the freeness prune: any word fixing a square
-  must fix them all). The rules are exactly those of rebuilding every
-  translation from scratch at each node;
+  must fix them all). Only a value the search chose goes through the
+  rules of every target. A forced value is a translate of the chosen
+  edge, so it gets sigma_v bookkeeping only, and its consequences are
+  met as sigma_h-cycles enter domains. The translations may thus stay
+  partial at a leaf, so a leaf is tested afresh: a breadth-first search
+  from square 0 for transitivity, then a count of its translations;
+* a read-only candidate filter: before a candidate is written, one pass
+  over the translations reads off the first checks that setting it would
+  make, which may pin sigma_v(p) or rule out whole sigma_h-cycles;
+* exact subtree prunes: when the search enters an untouched cycle and
+  the orbit of square 0 over the edges set so far is closed, every leaf
+  below is intransitive; and a short word (below) that has closed on a
+  partial sigma_v stays closed in every leaf;
 * cycle symmetry: permuting the untouched sigma_h-cycles commutes with
   sigma_h, so a choice entering fresh territory may as well land on the
   leader of the first untouched cycle;
@@ -33,6 +44,11 @@ search yields its leaves in that order once they are grouped by b:
 - The search always branches on the smallest unset square and tries its
   candidates in ascending order, so whatever it prunes or forces, it
   meets complete sigma_v's in lexicographic order.
+- Which conjugates under cycle symmetry survive can depend on what was
+  forced, but the lexicographically least one never fails a symmetry
+  test, since swapping in the first untouched cycle would make it
+  smaller. It precedes the others, so the first raw member of each class
+  does not depend on how much propagation forces.
 - A leaf with cycle length b passes the same tests on its way down as in
   a search with b fixed from the start: its chains never exceed b, and
   its first closed cycle has length b, which divides n and is at least
@@ -61,9 +77,7 @@ that:
   no droppable pair, and that block's leaves include the class's first
   raw member. Dropping leaves keeps the rest of the raw stream in order,
   so that member is still the first.
-- Intransitive leaves are dropped too (tau_1 is defined on every square
-  exactly when the pair is transitive), and irregular ones are filtered
-  afterwards, so dropping them is harmless.
+- Intransitive and irregular leaves are dropped too, which is harmless.
 
 Results are deduplicated by group isomorphism plus commutator order and
 sorted by (stratum, serialized origami).
@@ -77,7 +91,7 @@ from . import perms
 from .errors import BudgetExceeded
 from .groups import FiniteGroup, is_isomorphic
 from .numtheory import divisors
-from .origami import Origami, stratum_of, translation_group
+from .origami import Origami, is_regular, stratum_of, translation_group
 from .strata import Stratum
 
 DEFAULT_ENUM_BUDGET = 32
@@ -166,12 +180,14 @@ class _PairState:
     fixes it (`_closable`); until then chains may grow to any length.
 
     For every target j = 1..n-1 it keeps the partial translation tau_j
-    sending square 0 to j, and its inverse, closed under three rules: an
+    sending square 0 to j, and its inverse, grown by three rules: an
     edge of sigma_h or sigma_v at x whose image edge at tau_j(x) exists
     assigns tau_j at the other end; tau_j stays injective; and an edge
     x -> y of sigma_v with tau_j defined at both ends forces sigma_v at
     tau_j(x) to be tau_j(y). Target 0 is the identity, which never
-    conflicts or forces anything.
+    conflicts or forces anything. `set` applies the rules to its edge and
+    collects the sigma_v values they force; `extend` writes those with
+    their sigma_v bookkeeping only (see its docstring).
 
     A translation commutes with sigma_h, so it maps each sigma_h-cycle onto
     one by a rotation: tau_j's domain grows a whole cycle at a time, and
@@ -209,13 +225,51 @@ class _PairState:
         self.forced = {}
 
     def extend(self, p, q):
-        """Set sigma_v(p) = q and every value it forces; _Conflict when a
-        translation can no longer exist."""
-        todo = [(p, q)]
-        while todo:
-            for fp, fq in todo:
-                self.set(fp, fq)
-            todo = self.pending()
+        """Set sigma_v(p) = q and the values it forces; _Conflict when a
+        translation can no longer exist.
+
+        Only the chosen edge goes through the rules of `set`. A forced edge
+        is a translate of an edge that went through them, so its own
+        consequences are left to `_close`, which checks every edge of a
+        cycle entering a domain, and to the leaf tests of `_search`.
+        """
+        self.set(p, q)
+        for fp, fq in self.pending():
+            self._assign(fp, fq)
+
+    def admissible(self, p):
+        """What the first checks of `set` leave open for sigma_v(p), read
+        without writing: (the square it must be, or -1; the arrays among
+        the tau_j and tau_j^-1 that must be undefined at it), or None when
+        two targets pin different squares.
+
+        Where tau_j(p) = tp and sigma_v(tp) = g, q must be tau_j^-1(g), and
+        lie outside tau_j's domain when that is undefined; where
+        tau_j(u) = p and sigma_v(u) = y, q must be tau_j(y), and lie outside
+        tau_j's image when that is undefined. A domain and an image are
+        unions of sigma_h-cycles, so each such test rules out whole cycles.
+        """
+        sv = self.sv
+        pin, unset = -1, []
+        for t, ti in self.targets:
+            tp, u = t[p], ti[p]
+            if tp != -1 and sv[tp] != -1:
+                w = ti[sv[tp]]
+                if w == -1:
+                    unset.append(t)
+                elif pin != w:
+                    if pin != -1:
+                        return None
+                    pin = w
+            if u != -1 and sv[u] != -1:
+                w = t[sv[u]]
+                if w == -1:
+                    unset.append(ti)
+                elif pin != w:
+                    if pin != -1:
+                        return None
+                    pin = w
+        return pin, unset
 
     def pending(self) -> list:
         """The sigma_v values forced since the last call and still unset."""
@@ -224,12 +278,10 @@ class _PairState:
         self.forced = {}
         return todo
 
-    def set(self, p, q):
-        """sigma_v(p) = q, then every consequence for the translations."""
-        sv, svi, a = self.sv, self.svi, self.a
-        if sv[p] == q:
-            return
-        b = _apply(sv, svi, self.cstart, self.cend, self.clen, a, self.b, p, q)
+    def _assign(self, p, q):
+        """sigma_v(p) = q with its bookkeeping on the trail, no rules."""
+        a = self.a
+        b = _apply(self.sv, self.svi, self.cstart, self.cend, self.clen, a, self.b, p, q)
         self.trail.append(p)
         if b != self.b:
             self.b = b
@@ -237,6 +289,13 @@ class _PairState:
         self.assigned += 1
         self.touched[p // a] += 1
         self.touched[q // a] += 1
+
+    def set(self, p, q):
+        """sigma_v(p) = q, then every consequence for the translations."""
+        sv, svi = self.sv, self.svi
+        if sv[p] == q:
+            return
+        self._assign(p, q)
         forced, close = self.forced, self._close
         todo = []  # (y, g): tau_j(y) must be g
         for t, ti in self.targets:
@@ -348,30 +407,58 @@ def _short_word(sv, a, b) -> bool:
     steps, or x y^k (1 <= k < b) in fewer than a?
 
     A step of x^k y is g -> sigma_v(sigma_h^k(g)), one of x y^k is
-    g -> sigma_v^k(sigma_h(g)).
+    g -> sigma_v^k(sigma_h(g)). On a partial sigma_v a walk ends open at an
+    unset value (-1); one that has closed stays closed as sigma_v grows.
     """
     for k in range(1, a):
         g = 0
         for _ in range(b - 1):
             g = sv[g - g % a + (g + k) % a]
-            if g == 0:
-                return True
+            if g <= 0:
+                if g == 0:
+                    return True
+                break
     if a > 1:
-        vk = sv  # sigma_v^k
         for k in range(1, b):
             g = 0
             for _ in range(a - 1):
-                g = vk[g - g % a + (g + 1) % a]
-                if g == 0:
-                    return True
-            vk = [sv[g] for g in vk]
+                g = g - g % a + (g + 1) % a
+                for _ in range(k):
+                    g = sv[g]
+                    if g < 0:
+                        break
+                if g <= 0:
+                    break
+            if g == 0:
+                return True
     return False
+
+
+def _orbit_size(sv, a) -> int:
+    """The size of the orbit of square 0 under sigma_h and the sigma_v edges
+    set so far, or 0 while sigma_v is unset somewhere in it.
+
+    A set of squares that sigma_v maps into itself is mapped onto itself,
+    so a closed orbit holds no unset end of sigma_v^-1 either, and stays
+    closed as sigma_v grows.
+    """
+    seen = bytearray(len(sv) // a)
+    seen[0] = 1
+    cycles = [0]
+    for c in cycles:
+        for y in sv[c * a:c * a + a]:
+            if y < 0:
+                return 0
+            if not seen[y // a]:
+                seen[y // a] = 1
+                cycles.append(y // a)
+    return len(cycles) * a
 
 
 def _search(n, a) -> list:
     """The raw pairs with sigma_h of type a^(n/a), in raw order: b ascending,
-    then sigma_v lexicographic. Only transitive pairs with no short word
-    are kept."""
+    then sigma_v lexicographic. Only transitive, regular pairs with no
+    short word are kept."""
     sh = perms.uniform_cycles(n, a)
     if n == 1:
         return [(sh, perms.identity(1))]
@@ -379,23 +466,32 @@ def _search(n, a) -> list:
     ncyc = n // a
     st = _PairState(n, a)
     sv, svi, cstart, clen, touched = st.sv, st.svi, st.cstart, st.clen, st.touched
-    tau1 = st.targets[0][0]
     leaves = []  # (b, sigma_v)
 
     def rec():
+        b = st.b
         if st.assigned == n:
-            # tau_1 is defined exactly on the orbit of square 0
-            if -1 not in tau1 and not _short_word(sv, a, st.b):
-                leaves.append((st.b, tuple(sv)))
+            svt = tuple(sv)
+            if (_orbit_size(svt, a) == n and not _short_word(svt, a, b)
+                    and is_regular(Origami(sh, svt))):
+                leaves.append((b, svt))
             return
         p = sv.index(-1)
         pcyc = p // a
+        if not touched[pcyc] and _orbit_size(sv, a):  # closed, smaller than n
+            return
+        # every leaf below has b at least this, and a closed walk stays closed
+        if _short_word(sv, a, max(a, *clen) if b is None else b):
+            return
+        admissible = st.admissible(p)
+        if admissible is None:
+            return
+        pin, unset = admissible
         fresh_leader = next((c * a for c in range(ncyc) if not touched[c] and c != pcyc), None)
         sp = cstart[p]
-        b = st.b
         room = n if b is None else b
         cands = []
-        for q in range(n):
+        for q in range(n) if pin == -1 else (pin,):
             if svi[q] != -1 or q == p:
                 continue
             if not touched[q // a] and q // a != pcyc and q != fresh_leader:
@@ -405,6 +501,8 @@ def _search(n, a) -> list:
                     cands.append(q)
             elif cstart[q] == q and clen[sp] + clen[q] <= room:
                 cands.append(q)
+        if unset:
+            cands = [q for q in cands if all(m[q] == -1 for m in unset)]
         for q in cands:
             mark = len(st.trail)
             try:
@@ -448,8 +546,6 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
         for sh, sv in pairs:
             o = Origami(sh, sv)
             T = translation_group(o)
-            if T.order != n:
-                continue
             # The pair generates a regular group, anti-isomorphic to its
             # centralizer, the translations (Dixon & Mortimer, Thm 4.2A); sh
             # and sv map to the translations moving square 0 as they do, at

@@ -191,6 +191,33 @@ def test_enumerate_rejects_nonpositive_workers(capsys):
         assert "worker count must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, low", [
+    (["--enum-budget", "-3", "enumerate", "8"], "--enum-budget", 1),
+    (["enumerate", "8", "--enum-budget", "0"], "--enum-budget", 1),
+    (["--closure-budget", "-1", "regular-origami", "--group", "c(5)"], "--closure-budget", 1),
+    (["--sl2-cap", "-1", "psl-pair", "11", "12"], "--sl2-cap", 1),
+    (["t-of-g", "26", "--budget", "-5"], "--budget", 0),
+    (["table", "appendix-a", "--budget", "-1"], "--budget", 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_budgets_below_their_floor_are_usage_errors(capsys, argv, flag, low):
+    # the flag is blamed at parse time, not the input it would bound
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be at least {low}, got " in err
+
+
+def test_budgets_at_their_floor_are_accepted(capsys):
+    assert run(capsys, "--enum-budget", "1", "enumerate", "1")[0] == 0
+    assert run(capsys, "t-of-g", "26", "--budget", "0")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--closure-budget", "many", "regular-origami", "--group", "c(5)"])
+    assert exc.value.code == 2
+    assert "argument --closure-budget: invalid int value: 'many'" in capsys.readouterr().err
+
+
 def test_enumerate_csv(capsys):
     code, out = run(capsys, "--output", "csv", "enumerate", "6")
     assert code == 0

@@ -484,3 +484,150 @@ def test_incremental_propagation_matches_rebuild(n):
         for walk in range(WALKS_PER_A):
             _random_walk(n, a, random.Random(f"{n},{a},{walk}"), stats)
     assert min(stats["conflicts"], stats["forced"], stats["quiet"]) > 0, stats
+
+
+def _filter_walk(n, a, rng, stats):
+    """Descend a random search path; at each node, every candidate that
+    `admissible` rejects must conflict when it is extended from there."""
+    from regori.enumerator import _Conflict, _PairState
+
+    st = _PairState(n, a)
+    while st.assigned < n:
+        p = st.sv.index(-1)
+        admissible = st.admissible(p)
+        pin, unset = admissible or (-1, [])
+        kept = []
+        for q in range(n):
+            if st.svi[q] != -1:
+                continue
+            if admissible and (pin == -1 or q == pin) and all(m[q] == -1 for m in unset):
+                kept.append(q)
+                continue
+            stats["no candidate" if not admissible else "unpinned" if pin not in (-1, q) else "ruled out"] += 1
+            mark = len(st.trail)
+            with pytest.raises(_Conflict):
+                st.extend(p, q)
+            st.undo(mark)
+        rng.shuffle(kept)
+        for q in kept:
+            mark = len(st.trail)
+            try:
+                st.extend(p, q)
+                break
+            except _Conflict:
+                st.undo(mark)
+        else:
+            return
+
+
+@pytest.mark.parametrize("n", (12, 16, 18, 24))
+def test_candidate_filter_rejects_only_conflicts(n):
+    import random
+    from collections import Counter
+
+    from regori.numtheory import divisors
+
+    stats = Counter()
+    for a in divisors(n):
+        for walk in range(WALKS_PER_A):
+            _filter_walk(n, a, random.Random(f"filter {n},{a},{walk}"), stats)
+    assert stats["unpinned"] and stats["ruled out"], stats
+
+
+def test_subtree_prunes_keep_the_leaves(monkeypatch):
+    # the closed-orbit and early short-word prunes only drop subtrees with
+    # no leaf: switched off on partial sigma_v's, the search yields the same
+    from collections import Counter
+
+    from regori import enumerator
+    from regori.numtheory import divisors
+
+    sizes = range(1, 25)
+    pruned = {(n, a): enumerator._search(n, a) for n in sizes for a in divisors(n)}
+    fired = Counter()
+    orbit_size, short_word = enumerator._orbit_size, enumerator._short_word
+
+    def unpruned(name, prune):
+        def wrapper(sv, *args):
+            result = prune(sv, *args)
+            if -1 in sv:
+                fired[name] += bool(result)
+                return 0
+            return result
+        return wrapper
+
+    monkeypatch.setattr(enumerator, "_orbit_size", unpruned("orbit", orbit_size))
+    monkeypatch.setattr(enumerator, "_short_word", unpruned("short word", short_word))
+    for (n, a), leaves in pruned.items():
+        assert enumerator._search(n, a) == leaves, (n, a)
+    assert fired["orbit"] and fired["short word"], fired
+
+
+def test_orbit_size_of_partial_sigma_v():
+    # against a closure over sigma_h, sigma_v and sigma_v^-1: sigma_v maps
+    # a random union of sigma_h-cycles and its complement onto themselves,
+    # with some values unset; the orbit is closed exactly when no edge end
+    # in it is unset
+    import random
+    from collections import Counter
+
+    from regori import perms
+    from regori.enumerator import _orbit_size
+
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(400):
+        n, a = rng.choice(((12, 3), (12, 2), (16, 4), (18, 3)))
+        sh = perms.uniform_cycles(n, a)
+        inside = [x for x in range(n) if x // a == 0 or rng.random() < 0.5]
+        sv, svi = [-1] * n, [-1] * n
+        share_unset = rng.choice((0, 0.05, 0.3))
+        for part in (inside, [x for x in range(n) if x not in inside]):
+            for p, q in zip(part, rng.sample(part, len(part))):
+                if rng.random() >= share_unset:
+                    sv[p], svi[q] = q, p
+        orbit, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for y in (sh[x], sv[x], svi[x]):
+                if y != -1 and y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        closed = all(sv[x] != -1 and svi[x] != -1 for x in orbit)
+        outcomes["open" if not closed else "all" if len(orbit) == n else "part"] += 1
+        assert _orbit_size(sv, a) == (len(orbit) if closed else 0), (sv, a)
+    assert min(outcomes["open"], outcomes["all"], outcomes["part"]) > 0, outcomes
+
+
+# the square counts of perfbench's enum-sweep workload
+ENUM_SWEEP_SIZES = (8, 10, 12, 14, 15, 16, 18, 20, 21, 22, 24, 25, 26, 27, 28, 32)
+
+
+def extend_calls(sizes, budget=32) -> int:
+    """How many candidates `enumerate_regular` writes over these sizes: a
+    count of `_PairState.extend` calls, free of timing noise."""
+    from regori.enumerator import _PairState
+
+    calls = 0
+    extend = _PairState.extend
+
+    def counted(self, p, q):
+        nonlocal calls
+        calls += 1
+        return extend(self, p, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_PairState, "extend", counted)
+        for n in sizes:
+            enumerate_regular(n, budget=budget)
+    return calls
+
+
+def test_search_effort():
+    assert extend_calls(ENUM_SWEEP_SIZES) <= 12_000
+    assert extend_calls([48], budget=48) <= 110_000
+
+
+if __name__ == "__main__":
+    print(f"extend calls over the enum-sweep sizes: {extend_calls(ENUM_SWEEP_SIZES)}")
+    print(f"extend calls for n = 48: {extend_calls([48], budget=48)}")

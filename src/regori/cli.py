@@ -43,7 +43,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
                         help="write to FILE instead of stdout")
-    parser.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--workers", type=_int_from(1), default=argparse.SUPPRESS)
     parser.add_argument("--closure-budget", type=_int_from(1), default=argparse.SUPPRESS)
     parser.add_argument("--enum-budget", type=_int_from(1), default=argparse.SUPPRESS)
     parser.add_argument("--sl2-cap", type=_int_from(1), default=argparse.SUPPRESS)

@@ -10,7 +10,7 @@ finds every regular pair with ord x = a up to relabelling, for every b.
 
 These devices keep the tree small:
 
-* translation propagation: for every target square j, the partial
+* translation propagation: for each tracked target square j, the partial
   translation sending 0 to j is kept across the whole search and grown
   incrementally as sigma_v is set, with every change on an undo trail
   that backtracking unwinds (the partial coset-table closure of low-index
@@ -18,11 +18,20 @@ These devices keep the tree small:
   conflict kills the branch, and values it forces on sigma_v are applied
   at once (this realizes the freeness prune: any word fixing a square
   must fix them all). Only a value the search chose goes through the
-  rules of every target. A forced value is a translate of the chosen
-  edge, so it gets sigma_v bookkeeping only, and its consequences are
-  met as sigma_h-cycles enter domains. The translations may thus stay
+  rules of every tracked target. A forced value is a translate of the
+  chosen edge, so it gets sigma_v bookkeeping only, and its consequences
+  are met as sigma_h-cycles enter domains. The translations may thus stay
   partial at a leaf, so a leaf is tested afresh: a breadth-first search
   from square 0 for transitivity, then a count of its translations;
+* tracked targets (`_tracked`): the squares of sigma_h-cycles 0 and 1 and
+  every cycle leader c*a. In a regular completion tau_(c*a+i) =
+  tau_(c*a) tau_i, so these translations generate all of them, and a
+  composite target would mostly repeat deductions its factors make.
+  Cycle 1 is kept because sigma_v(0) lies in cycle 0 or on the fresh
+  leader a, so cycle 1 holds the first composite translations (y x^i)
+  the search can use. Any set of targets is sound: a target only prunes
+  or forces what every regular completion satisfies, and the leaf tests
+  do not read the targets;
 * a read-only candidate filter: before a candidate is written, one pass
   over the translations reads off the first checks that setting it would
   make, which may pin sigma_v(p) or rule out whole sigma_h-cycles;
@@ -138,7 +147,12 @@ def _closable(a, b, cstart, clen, length) -> bool:
 
 def _apply(sv, svi, cstart, cend, clen, a, b, p, q):
     """sigma_v(p) = q with uniform-cycle bookkeeping; b afterwards, which a
-    first closed cycle fixes; _Conflict when illegal."""
+    first closed cycle fixes; _Conflict when illegal.
+
+    Once sigma_v(p) and sigma_v^-1(q) are known unset, p ends its chain and
+    q starts one: a square with no successor is the last of its chain, and
+    one with no predecessor is the first.
+    """
     if sv[p] != -1:
         if sv[p] == q:
             return b
@@ -146,8 +160,6 @@ def _apply(sv, svi, cstart, cend, clen, a, b, p, q):
     if svi[q] != -1:
         raise _Conflict
     sp = cstart[p]
-    if cend[sp] != p:
-        raise _Conflict  # p is mid-chain
     if q == sp:
         # closing the chain into a cycle of length b
         if not _closable(a, b, cstart, clen, clen[sp]):
@@ -155,8 +167,6 @@ def _apply(sv, svi, cstart, cend, clen, a, b, p, q):
         sv[p] = q
         svi[q] = p
         return clen[sp]
-    if cstart[q] != q:
-        raise _Conflict  # q is not a chain start
     if b is not None and clen[sp] + clen[q] > b:
         raise _Conflict
     sv[p] = q
@@ -173,21 +183,31 @@ def _apply(sv, svi, cstart, cend, clen, a, b, p, q):
     return b
 
 
+def _tracked(n, a) -> list:
+    """The target squares whose translations the pair search keeps: those
+    of sigma_h-cycles 0 and 1, and every cycle leader c*a (see the module
+    docstring). For a = 1 or a >= n/2 that is every square but 0."""
+    return [*range(1, min(n, 2 * a)), *range(2 * a, n, a)]
+
+
 class _PairState:
     """A partial sigma_v beside sigma_h = (0..a-1)(a..2a-1)..., with undo.
 
     sigma_v's cycle length b is None until its first cycle closes, which
     fixes it (`_closable`); until then chains may grow to any length.
 
-    For every target j = 1..n-1 it keeps the partial translation tau_j
-    sending square 0 to j, and its inverse, grown by three rules: an
-    edge of sigma_h or sigma_v at x whose image edge at tau_j(x) exists
-    assigns tau_j at the other end; tau_j stays injective; and an edge
-    x -> y of sigma_v with tau_j defined at both ends forces sigma_v at
-    tau_j(x) to be tau_j(y). Target 0 is the identity, which never
-    conflicts or forces anything. `set` applies the rules to its edge and
-    collects the sigma_v values they force; `extend` writes those with
-    their sigma_v bookkeeping only (see its docstring).
+    For each tracked target j (`_tracked`: the squares of sigma_h-cycles 0
+    and 1 and the cycle leaders, which generate every translation of a
+    regular completion) it keeps the partial translation tau_j sending
+    square 0 to j, and its inverse, grown by three rules: an edge of
+    sigma_h or sigma_v at x whose image edge at tau_j(x) exists assigns
+    tau_j at the other end; tau_j stays injective; and an edge x -> y of
+    sigma_v with tau_j defined at both ends forces sigma_v at tau_j(x) to
+    be tau_j(y). Every regular completion meets these rules for every j,
+    so tracking fewer targets only prunes and forces less. Target 0 is the
+    identity, which never conflicts or forces anything. `set` applies the
+    rules to its edge and collects the sigma_v values they force; `extend`
+    writes those with their sigma_v bookkeeping only (see its docstring).
 
     A translation commutes with sigma_h, so it maps each sigma_h-cycle onto
     one by a rotation: tau_j's domain grows a whole cycle at a time, and
@@ -210,8 +230,8 @@ class _PairState:
         # of 0 counts as touched from the start
         self.touched = [0] * (n // a)
         self.touched[0] = 1
-        self.targets = []  # (tau_j, tau_j^-1) for j = 1..n-1
-        for j in range(1, n):
+        self.targets = []  # (tau_j, tau_j^-1) for each tracked j
+        for j in _tracked(n, a):
             t, ti = [-1] * n, [-1] * n
             base = j - j % a
             for i in range(a):
@@ -497,12 +517,15 @@ def _search(n, a) -> list:
             if not touched[q // a] and q // a != pcyc and q != fresh_leader:
                 continue
             if cstart[q] == sp:
-                if q == sp and _closable(a, b, cstart, clen, clen[sp]):
-                    cands.append(q)
-            elif cstart[q] == q and clen[sp] + clen[q] <= room:
+                if q != sp or not _closable(a, b, cstart, clen, clen[sp]):
+                    continue
+            elif cstart[q] != q or clen[sp] + clen[q] > room:
+                continue
+            for m in unset:
+                if m[q] != -1:
+                    break
+            else:
                 cands.append(q)
-        if unset:
-            cands = [q for q in cands if all(m[q] == -1 for m in unset)]
         for q in cands:
             mark = len(st.trail)
             try:

@@ -8,26 +8,46 @@ multiplication free to act as translations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import perms
 from .errors import InvalidGenus
 from .groups import FiniteGroup, require_generating_pair
 from .strata import Stratum
 
 
-@dataclass(frozen=True)
 class Origami:
-    sigma_h: tuple
-    sigma_v: tuple
+    """An immutable, hashable pair (sigma_h, sigma_v) of permutations acting
+    transitively; a plain class, so that building one imports no
+    `dataclasses`."""
 
-    def __post_init__(self):
-        h = perms.check_perm(self.sigma_h)
-        v = perms.check_perm(self.sigma_v)
+    __slots__ = ("sigma_h", "sigma_v")
+
+    def __init__(self, sigma_h, sigma_v):
+        h = perms.check_perm(sigma_h)
+        v = perms.check_perm(sigma_v)
         object.__setattr__(self, "sigma_h", h)
         object.__setattr__(self, "sigma_v", v)
         if not perms.is_transitive_pair(h, v):
             raise ValueError("the squares are not connected")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Origami:
+            return NotImplemented
+        return self.sigma_h == other.sigma_h and self.sigma_v == other.sigma_v
+
+    def __hash__(self):
+        return hash((self.sigma_h, self.sigma_v))
+
+    def __repr__(self):
+        return f"Origami(sigma_h={self.sigma_h!r}, sigma_v={self.sigma_v!r})"
+
+    def __reduce__(self):
+        return Origami, (self.sigma_h, self.sigma_v)
 
     @property
     def n(self) -> int:

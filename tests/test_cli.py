@@ -183,14 +183,6 @@ def test_enumerate_rejects_nonpositive_n(capsys):
         assert "square count must be at least 1" in captured.err
 
 
-def test_enumerate_rejects_nonpositive_workers(capsys):
-    for workers in ("0", "-2"):
-        assert main(["--workers", workers, "enumerate", "6"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "worker count must be at least 1" in captured.err
-
-
 @pytest.mark.parametrize("argv, flag, low", [
     (["--enum-budget", "-3", "enumerate", "8"], "--enum-budget", 1),
     (["enumerate", "8", "--enum-budget", "0"], "--enum-budget", 1),
@@ -198,6 +190,10 @@ def test_enumerate_rejects_nonpositive_workers(capsys):
     (["--sl2-cap", "-1", "psl-pair", "11", "12"], "--sl2-cap", 1),
     (["t-of-g", "26", "--budget", "-5"], "--budget", 0),
     (["table", "appendix-a", "--budget", "-1"], "--budget", 0),
+    (["--workers", "0", "enumerate", "6"], "--workers", 1),
+    (["--workers", "-2", "enumerate", "6"], "--workers", 1),
+    (["--workers", "-4", "t-of-g", "26", "--budget", "30"], "--workers", 1),
+    (["--workers", "0", "table", "summary-gm", "--m-max", "3"], "--workers", 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_budgets_below_their_floor_are_usage_errors(capsys, argv, flag, low):
     # the flag is blamed at parse time, not the input it would bound

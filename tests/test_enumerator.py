@@ -357,16 +357,17 @@ def test_stratum_existence_matches_two_zero_rule():
             assert not hits, n
 
 
-def _propagate_reference(n, sh, shi, sv, svi):
-    """Every square-0 translation rebuilt from scratch; the forced sigma_v values.
+def _propagate_reference(n, a, sh, shi, sv, svi):
+    """The square-0 translations the search tracks, rebuilt from scratch;
+    the forced sigma_v values.
 
     Raises _Conflict when some translation cannot exist, which no
     completion of the partial sigma_v can repair.
     """
-    from regori.enumerator import _Conflict
+    from regori.enumerator import _Conflict, _tracked
 
     forced = {}
-    for j in range(n):
+    for j in _tracked(n, a):
         tau = [-1] * n
         used = [False] * n
         tau[0] = j
@@ -418,7 +419,7 @@ def _reference_round(n, a, sh, shi, state, batch):
     try:
         for p, q in batch:
             b = _apply(*lists, a, b, p, q)
-        return (lists, b), _propagate_reference(n, sh, shi, lists[0], lists[1])
+        return (lists, b), _propagate_reference(n, a, sh, shi, lists[0], lists[1])
     except _Conflict:
         return (lists, b), None
 
@@ -561,6 +562,36 @@ def test_subtree_prunes_keep_the_leaves(monkeypatch):
     for (n, a), leaves in pruned.items():
         assert enumerator._search(n, a) == leaves, (n, a)
     assert fired["orbit"] and fired["short word"], fired
+
+
+def test_tracked_targets_generate_the_translations():
+    # cycle 0 and the leaders generate every translation of a regular
+    # completion; cycle 1 is tracked too, and small cycles leave nothing out
+    from regori.enumerator import _tracked
+    from regori.numtheory import divisors
+
+    for n in range(1, 49):
+        for a in divisors(n):
+            tracked = _tracked(n, a)
+            assert len(set(tracked)) == len(tracked) and set(tracked) <= set(range(1, n))
+            assert set(range(1, a)) | set(range(a, n, a)) <= set(tracked), (n, a)
+            assert set(range(a, min(n, 2 * a))) <= set(tracked), (n, a)
+            if a == 1 or 2 * a >= n:
+                assert tracked == list(range(1, n)), (n, a)
+
+
+def test_tracking_every_target_keeps_the_leaves(monkeypatch):
+    # fewer targets prune and force less, but never change which leaves
+    # the search yields, nor their order
+    from regori import enumerator
+    from regori.numtheory import divisors
+
+    sizes = range(1, 25)
+    tracked = {(n, a): enumerator._search(n, a) for n in sizes for a in divisors(n)}
+    monkeypatch.setattr(enumerator, "_tracked", lambda n, a: range(1, n))
+    assert len(enumerator._PairState(24, 2).targets) == 23
+    for (n, a), leaves in tracked.items():
+        assert enumerator._search(n, a) == leaves, (n, a)
 
 
 def test_orbit_size_of_partial_sigma_v():

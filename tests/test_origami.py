@@ -42,6 +42,23 @@ def test_serialize_roundtrip():
     assert Origami.deserialize(o.serialize()) == o
 
 
+def test_origami_is_an_immutable_value():
+    import copy
+    import pickle
+
+    o = Origami([1, 0, 2], (2, 0, 1))
+    assert o.sigma_h == (1, 0, 2)
+    assert o == Origami((1, 0, 2), (2, 0, 1)) and hash(o) == hash(Origami((1, 0, 2), (2, 0, 1)))
+    assert o != Origami((2, 0, 1), (1, 0, 2)) and o != ((1, 0, 2), (2, 0, 1))
+    assert repr(o) == "Origami(sigma_h=(1, 0, 2), sigma_v=(2, 0, 1))"
+    assert pickle.loads(pickle.dumps(o)) == o == copy.deepcopy(o)
+    for mutate in (lambda: setattr(o, "sigma_h", (0, 1, 2)), lambda: delattr(o, "sigma_v"),
+                   lambda: setattr(o, "extra", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert o.sigma_h == (1, 0, 2) and o.sigma_v == (2, 0, 1)
+
+
 def test_regular_origami_dihedral():
     D6 = dihedral(6)
     x, y = semidirect_generators(3, 2)

@@ -80,6 +80,14 @@ def test_stratum_exists_psl_witness_skips_dataclasses():
     assert "dataclasses" not in modules
 
 
+@pytest.mark.parametrize("group, stratum", [("sd(11,5,3)", "H(10^5)"), ("psl(11,12)", "H(5^110)")])
+def test_regular_origami_skips_dataclasses(group, stratum):
+    code, payload, modules = run_in_fresh_process("regular-origami", "--group", group)
+    assert (code, payload["stratum"]) == (0, stratum)
+    assert "origami" in regori_modules(modules)
+    assert "dataclasses" not in modules
+
+
 def test_lazy_package_namespace():
     for name in regori.__all__:
         assert getattr(regori, name).__module__.startswith("regori.")

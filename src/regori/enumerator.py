@@ -5,11 +5,16 @@ transitively, i.e. the origami's translations act transitively. For each
 cycle type a^(n/a) of sigma_h, a ascending, one search fixes sigma_h as
 the canonical product of equal cycles and backtracks over sigma_v. The
 cycle length b of sigma_v is left open until its first cycle closes,
-which fixes it; before that, chains may grow to any length. The search
-finds every regular pair with ord x = a up to relabelling, for every b.
+which fixes it; before that, chains may grow to any length below n. The
+search finds every regular pair with ord x = a up to relabelling, for
+every b.
 
 These devices keep the tree small:
 
+* branching along square 0's chain: while the sigma_v-chain through
+  square 0 is open, the search branches on its last square, so that a
+  cycle closes and fixes b early; after that, on the smallest unset
+  square;
 * translation propagation: for each tracked target square j, the partial
   translation sending 0 to j is kept across the whole search and grown
   incrementally as sigma_v is set, with every change on an undo trail
@@ -45,25 +50,37 @@ These devices keep the tree small:
 * class representatives: the first closed cycle may fix only b >= a, and
   a complete sigma_v is dropped when, walking from square 0, the word
   x^k y (1 <= k < a) closes in fewer than b steps or x y^k (1 <= k < b)
-  in fewer than a.
+  in fewer than a;
+* no n-cycle beside a > 1 (`_longest`): with b = n, G = <y> is cyclic and
+  x = y^m, so x y^(n-m) closes in one step, fewer than a, and the pair
+  would be dropped. While b is open, a chain may thus grow only to the
+  largest proper divisor of n;
+* closed forms (`_closed_form`): a = 1 has the one leaf (1, 2, ..., n-1,
+  0), which the search would reach, and a = n > 1 has none, since b >= a
+  makes b = n there.
 
-The raw order of pairs is a, then b, then sigma_v lexicographic, and each
-search yields its leaves in that order once they are grouped by b:
+The raw order of pairs is a, then b, then sigma_v lexicographic, over the
+regular pairs that pass the class-representative tests, each taken up to
+cycle symmetry: the relabellings that permute and rotate the
+sigma_h-cycles other than cycle 0, which commute with sigma_h and fix
+square 0. Each search returns the least conjugate of each leaf
+(`_least_conjugate`), sorted by b and then lexicographically:
 
-- The search always branches on the smallest unset square and tries its
-  candidates in ascending order, so whatever it prunes or forces, it
-  meets complete sigma_v's in lexicographic order.
-- Which conjugates under cycle symmetry survive can depend on what was
-  forced, but the lexicographically least one never fails a symmetry
-  test, since swapping in the first untouched cycle would make it
-  smaller. It precedes the others, so the first raw member of each class
-  does not depend on how much propagation forces.
+- Cycle symmetry keeps every test a leaf must pass: transitivity,
+  regularity, b and the walks from square 0.
+- Each rule of the search holds at any node, whatever square it branches
+  on. Propagation and the candidate filter drop only what no regular
+  completion satisfies, the subtree prunes are exact, and the symmetry
+  rule drops a choice only for a relabelling of it that fixes every
+  value set so far. So every orbit with a kept member yields a leaf,
+  however much is forced, and its least conjugate stands for it.
 - A leaf with cycle length b passes the same tests on its way down as in
   a search with b fixed from the start: its chains never exceed b, and
   its first closed cycle has length b, which divides n and is at least
   as long as every open chain. So no leaf is lost by leaving b open.
-- Grouping the leaves by b, stably, gives each (a, b) block's stream in
-  turn.
+- A conjugate has the dedup key of its pair (below) and is preceded by
+  the least conjugate, so the first raw pair with each key is the same
+  as over every member of every orbit, in lexicographic order.
 
 Which origami stands for each class is the first raw pair with its dedup
 key, so a prune keeps the output exactly when it drops only pairs whose
@@ -127,19 +144,26 @@ class _Conflict(Exception):
     pass
 
 
+def _longest(n, a) -> int:
+    """The longest sigma_v cycle a kept pair can have beside sigma_h of type
+    a^(n/a): n when a = 1, else the largest proper divisor of n (no n-cycle
+    beside a > 1, module docstring)."""
+    return n if a == 1 else n // next(d for d in range(2, n + 1) if n % d == 0)
+
+
 def _closable(a, b, cstart, clen, length) -> bool:
     """May a sigma_v chain of this length close into a cycle?
 
     Once b is fixed, exactly when length is b. Before, the first cycle to
-    close fixes b, so its length must be at least a, divide n, and leave
-    no chain longer than itself; no cycle has closed yet, so every chain
-    is open.
+    close fixes b, so its length must lie between a and `_longest`, divide
+    n, and leave no chain longer than itself; no cycle has closed yet, so
+    every chain is open.
     """
     if b is not None:
         return length == b
     n = len(cstart)
     return (
-        length >= a
+        a <= length <= _longest(n, a)
         and n % length == 0
         and all(clen[s] <= length for s in range(n) if cstart[s] == s)
     )
@@ -475,18 +499,58 @@ def _orbit_size(sv, a) -> int:
     return len(cycles) * a
 
 
+def _least_conjugate(sv, a) -> tuple:
+    """The lexicographically least relabelling of a transitive sigma_v by the
+    cycle symmetry: permutations and rotations of the sigma_h-cycles other
+    than cycle 0, which commute with sigma_h and fix square 0.
+
+    Greedy over p = 0..n-1: cycle 0 stays fixed, and the value at p of a
+    cycle not yet placed maps to the leader of the next new cycle, the
+    least value it can take. Transitivity places the cycle of p in time.
+    """
+    n = len(sv)
+    label, square = [-1] * n, [-1] * n
+    label[:a] = square[:a] = range(a)
+    placed = a  # the leader of the next new cycle
+    least = []
+    for p in range(n):
+        q = sv[square[p]]
+        if label[q] == -1:
+            qb = q - q % a
+            for i in range(a):
+                s = qb + (q + i) % a
+                label[s], square[placed + i] = placed + i, s
+            placed += a
+        least.append(label[q])
+    return tuple(least)
+
+
+def _closed_form(n, a):
+    """The leaves of `_search` for a = 1, the n-cycle (1, 2, ..., n-1, 0),
+    and for a = n > 1, none (module docstring); None for any other a."""
+    if a == 1:
+        return [(*range(1, n), 0)]
+    return [] if a == n else None
+
+
 def _search(n, a) -> list:
     """The raw pairs with sigma_h of type a^(n/a), in raw order: b ascending,
     then sigma_v lexicographic. Only transitive, regular pairs with no
-    short word are kept."""
-    sh = perms.uniform_cycles(n, a)
-    if n == 1:
-        return [(sh, perms.identity(1))]
+    short word are kept, each as its least conjugate (`_least_conjugate`).
 
-    ncyc = n // a
+    While the sigma_v-chain through square 0 is open, the search branches
+    on its last square, so that the first cycle closes, fixing b, as early
+    as it can; then on the smallest unset square.
+    """
+    sh = perms.uniform_cycles(n, a)
+    closed = _closed_form(n, a)
+    if closed is not None:
+        return [(sh, sv) for sv in closed]
+
+    ncyc, longest = n // a, _longest(n, a)
     st = _PairState(n, a)
-    sv, svi, cstart, clen, touched = st.sv, st.svi, st.cstart, st.clen, st.touched
-    leaves = []  # (b, sigma_v)
+    sv, svi, cstart, cend, clen, touched = st.sv, st.svi, st.cstart, st.cend, st.clen, st.touched
+    leaves = set()  # (b, least conjugate of sigma_v)
 
     def rec():
         b = st.b
@@ -494,9 +558,11 @@ def _search(n, a) -> list:
             svt = tuple(sv)
             if (_orbit_size(svt, a) == n and not _short_word(svt, a, b)
                     and is_regular(Origami(sh, svt))):
-                leaves.append((b, svt))
+                leaves.add((b, _least_conjugate(svt, a)))
             return
-        p = sv.index(-1)
+        p = cend[cstart[0]]
+        if sv[p] != -1:  # the cycle of square 0 has closed
+            p = sv.index(-1)
         pcyc = p // a
         if not touched[pcyc] and _orbit_size(sv, a):  # closed, smaller than n
             return
@@ -509,7 +575,7 @@ def _search(n, a) -> list:
         pin, unset = admissible
         fresh_leader = next((c * a for c in range(ncyc) if not touched[c] and c != pcyc), None)
         sp = cstart[p]
-        room = n if b is None else b
+        room = longest if b is None else b
         cands = []
         for q in range(n) if pin == -1 else (pin,):
             if svi[q] != -1 or q == p:
@@ -537,8 +603,7 @@ def _search(n, a) -> list:
             st.undo(mark)
 
     rec()
-    leaves.sort(key=lambda leaf: leaf[0])  # stable: each b stays lexicographic
-    return [(sh, svt) for _, svt in leaves]
+    return [(sh, svt) for _, svt in sorted(leaves)]
 
 
 def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 1) -> list:

@@ -1,4 +1,4 @@
-"""Identical enumerator output for every square count up to 48.
+"""Identical enumerator output for every square count up to 64.
 
 `enum_corpus.json` holds, for each n, the sha256 of the witnesses that
 `enumerate_regular(n)` keeps: their serialized origamis, strata, group
@@ -24,7 +24,7 @@ from regori.enumerator import enumerate_regular
 
 DATA = Path(__file__).with_name("enum_corpus.json")
 
-SIZES = range(1, 49)
+SIZES = range(1, 65)
 
 
 def digest(n: int) -> str:

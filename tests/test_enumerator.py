@@ -211,8 +211,9 @@ def _closes_early_reference(sv, a, b):
 
 @pytest.mark.parametrize("n", (12, 16, 18, 24))
 def test_one_search_per_a_matches_fixed_b_blocks(n):
-    # grouped by b, the search's leaves are exactly each block's transitive
-    # leaves whose short words do not close early, in the same order
+    # grouped by b, the search's leaves are the least conjugates of each
+    # block's transitive leaves whose short words do not close early, in
+    # lexicographic order
     from collections import Counter
 
     from regori import enumerator, perms
@@ -231,9 +232,93 @@ def test_one_search_per_a_matches_fixed_b_blocks(n):
                     assert enumerator._short_word(sv, a, b) == early, (n, a, b, sv)
                     stats[early] += 1
                     if not early:
-                        expected.append((sh, sv))
-            assert [pair for pair in got if _cycle_length_of_0(pair[1]) == b] == expected, (a, b)
+                        expected.append((sh, enumerator._least_conjugate(sv, a)))
+            assert [pair for pair in got if _cycle_length_of_0(pair[1]) == b] == sorted(
+                set(expected)), (a, b)
     assert stats[True] and stats[False], stats
+
+
+def _relabel(sv, a, order, shifts):
+    """sigma_v conjugated by the relabelling that sends sigma_h-cycle c to
+    order[c], rotated by shifts[c]; it commutes with sigma_h."""
+    phi = [order[x // a] * a + (x + shifts[x // a]) % a for x in range(len(sv))]
+    out = [0] * len(sv)
+    for x, y in enumerate(sv):
+        out[phi[x]] = phi[y]
+    return tuple(out)
+
+
+def _relabellings(n, a):
+    """Every relabelling that permutes and rotates the sigma_h-cycles other
+    than cycle 0, as (order, shifts)."""
+    from itertools import permutations, product
+
+    for rest in permutations(range(1, n // a)):
+        for shifts in product(range(a), repeat=n // a - 1):
+            yield (0, *rest), (0, *shifts)
+
+
+def test_least_conjugate_is_the_least_relabelling():
+    # every leaf is the least of its relabellings, and each relabelling of
+    # it maps back to it
+    from math import factorial
+
+    from regori import enumerator
+    from regori.numtheory import divisors
+
+    for n in range(1, 13):
+        for a in divisors(n):
+            k = n // a
+            if factorial(k - 1) * a ** (k - 1) > 50_000:
+                # only the cyclic leaf (1, 2, ..., n-1, 0), whose values are
+                # each the least unused one
+                assert a == 1 and n >= 10, (n, a)
+                continue
+            for _, sv in enumerator._search(n, a):
+                least = sv
+                for order, shifts in _relabellings(n, a):
+                    conj = _relabel(sv, a, order, shifts)
+                    assert enumerator._least_conjugate(conj, a) == sv, (n, a, conj)
+                    least = min(least, conj)
+                assert least == sv, (n, a)
+
+
+def test_least_conjugate_is_idempotent_and_invariant():
+    import random
+
+    from regori import enumerator
+    from regori.numtheory import divisors
+
+    rng = random.Random(20)
+    leaves = 0
+    for n in range(1, 33):
+        for a in divisors(n):
+            rest = list(range(1, n // a))
+            for _, sv in enumerator._search(n, a):
+                leaves += 1
+                assert enumerator._least_conjugate(sv, a) == sv, (n, a)
+                for _ in range(4):
+                    rng.shuffle(rest)
+                    order = (0, *rest)
+                    shifts = (0, *(rng.randrange(a) for _ in rest))
+                    assert enumerator._least_conjugate(_relabel(sv, a, order, shifts), a) == sv
+    assert leaves > 100, leaves
+
+
+def test_closed_forms_and_cycle_bound_keep_the_leaves(monkeypatch):
+    # a = 1 and a = n need no search, and b = n only with a = 1: the
+    # general search with neither shortcut yields the same leaves
+    from regori import enumerator
+    from regori.numtheory import divisors
+
+    sizes = range(2, 25)
+    shortcut = {(n, a): enumerator._search(n, a) for n in sizes for a in divisors(n)}
+    assert all(shortcut[n, 1] == [(tuple(range(n)), (*range(1, n), 0))] for n in sizes)
+    assert all(shortcut[n, n] == [] for n in sizes)
+    monkeypatch.setattr(enumerator, "_closed_form", lambda n, a: None)
+    monkeypatch.setattr(enumerator, "_longest", lambda n, a: n)
+    for (n, a), leaves in shortcut.items():
+        assert enumerator._search(n, a) == leaves, (n, a)
 
 
 def test_first_closed_cycle_fixes_b():
@@ -655,10 +740,11 @@ def extend_calls(sizes, budget=32) -> int:
 
 
 def test_search_effort():
-    assert extend_calls(ENUM_SWEEP_SIZES) <= 12_000
-    assert extend_calls([48], budget=48) <= 110_000
+    assert extend_calls(ENUM_SWEEP_SIZES) <= 4_500
+    assert extend_calls([48], budget=48) <= 13_000
 
 
 if __name__ == "__main__":
     print(f"extend calls over the enum-sweep sizes: {extend_calls(ENUM_SWEEP_SIZES)}")
     print(f"extend calls for n = 48: {extend_calls([48], budget=48)}")
+    print(f"extend calls for n = 60: {extend_calls([60], budget=60)}")

@@ -93,7 +93,7 @@ def test_exists_projective_witness_sound():
 def test_not_exists_confirmed_by_enumeration():
     from regori.enumerator import enumerate_regular, witnesses_for_stratum
 
-    max_order = 40
+    max_order = 64
     cache = {}
     for k in range(1, max_order):
         for s in range(1, max_order):

@@ -9,31 +9,21 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 
 from .errors import BudgetExceeded, RegoriError
 
 
-def _worker_default() -> int:
-    try:
-        return max(1, int(os.environ.get("REGORI_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _positive_int(text) -> int:
+    """An argparse type: an int of at least 1, else a usage error naming
+    the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _int_from(low: int):
-    """An argparse type: an int no smaller than low, else a usage error
-    naming the flag."""
-
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse's message for text that is no int
-    return parse
+_positive_int.__name__ = "int"  # argparse's message for text that is no int
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -43,10 +33,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
                         help="write to FILE instead of stdout")
-    parser.add_argument("--workers", type=_int_from(1), default=argparse.SUPPRESS)
-    parser.add_argument("--closure-budget", type=_int_from(1), default=argparse.SUPPRESS)
-    parser.add_argument("--enum-budget", type=_int_from(1), default=argparse.SUPPRESS)
-    parser.add_argument("--sl2-cap", type=_int_from(1), default=argparse.SUPPRESS)
+    parser.add_argument("--closure-budget", type=_positive_int, default=argparse.SUPPRESS)
+    parser.add_argument("--enum-budget", type=_positive_int, default=argparse.SUPPRESS)
+    parser.add_argument("--sl2-cap", type=_positive_int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,10 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.set_defaults(
         output="text",
         out=None,
-        workers=_worker_default(),
         closure_budget=100_000,
-        # None: the enumerator's or sl2's own default, read by the command
-        # that uses it, so that building the parser imports neither module
+        # None: `enumerate` reads enumerator.DEFAULT_ENUM_BUDGET and
+        # `psl-pair` sl2.DEFAULT_SL2_CAP, so building the parser imports
+        # neither module
         enum_budget=None,
         sl2_cap=None,
     )
@@ -74,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("t-of-g", help="maximal translation count in genus g")
     p.add_argument("g", type=int)
-    p.add_argument("--budget", type=_int_from(0), default=0, help="resolve unknowns by enumeration up to this group order")
 
     p = add_command("one-cylinder", help="the 2(g-1)-translation origami")
     p.add_argument("g", type=int)
@@ -101,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("appendix-a", "summary-gm"))
     p.add_argument("--rows", help="comma-separated genera (appendix-a)")
     p.add_argument("--m-max", type=int, default=25, help="largest order (summary-gm)")
-    p.add_argument("--budget", type=_int_from(0), default=0)
 
     p = add_command("verify-appendix-b", help="criterion vs brute force over a grid")
     p.add_argument("umax", type=int)
@@ -173,7 +160,7 @@ def _cmd_stratum_exists(args) -> int:
 def _cmd_t_of_g(args) -> int:
     from . import search
 
-    bound = search.t_of_g(args.g, budget=args.budget)
+    bound = search.t_of_g(args.g)
     if bound.exact:
         payload = {
             "g": bound.g,
@@ -199,6 +186,9 @@ def _cmd_t_of_g(args) -> int:
 def _cmd_one_cylinder(args) -> int:
     from .origami import one_cylinder, stratum_of, translation_order
 
+    squares = 4 * args.g - 4
+    if squares > args.closure_budget:
+        raise BudgetExceeded(f"square count {squares} beyond --closure-budget {args.closure_budget}")
     o = one_cylinder(args.g)
     payload = {
         "g": args.g,
@@ -288,7 +278,7 @@ def _cmd_enumerate(args) -> int:
     from . import enumerator
 
     budget = enumerator.DEFAULT_ENUM_BUDGET if args.enum_budget is None else args.enum_budget
-    found = enumerator.enumerate_regular(args.n, budget=budget, workers=args.workers)
+    found = enumerator.enumerate_regular(args.n, budget=budget)
     rows = [
         (str(w.stratum), w.group_order, w.commutator_order, w.origami.serialize())
         for w in found
@@ -315,7 +305,7 @@ def _cmd_table(args) -> int:
 
     if args.which == "appendix-a":
         keys = [int(v) for v in args.rows.split(",")] if args.rows is not None else None
-        reports = tables.report_small_genus(rows=keys, budget=args.budget)
+        reports = tables.report_small_genus(rows=keys)
         header = ("g", "expected", "computed", "match", "note")
     else:
         if args.m_max < 1:

@@ -87,13 +87,13 @@ key, so a prune keeps the output exactly when it drops only pairs whose
 class has an earlier raw member. The class-representative device does
 that:
 
-- Dedup keys a pair on its stratum, its commutator order and the
-  isomorphism class of its translation group, which is anti-isomorphic to
-  G = <x, y>.
+- Dedup keys a pair on its stratum and the isomorphism class of its
+  translation group, which is anti-isomorphic to G = <x, y>. A regular
+  stratum is H((c-1)^(n/c)) for c the commutator order, so the stratum
+  and c determine each other.
 - The images (y, x), (x, x^k y) and (x y^k, y) generate the same G, and
-  their commutators are conjugate to [x, y]^(+-1). A regular stratum is
-  H((c-1)^(n/c)) for c the commutator order, so every image has the key
-  of (x, y).
+  their commutators are conjugate to [x, y]^(+-1), so every image has the
+  key of (x, y).
 - In a regular pair, right multiplication by g has all its cycles of
   length ord(g), so a cycle through square 0 that closes early gives
   ord(x^k y) < b or ord(x y^k) < a. Each skipped or dropped regular pair
@@ -105,8 +105,8 @@ that:
   so that member is still the first.
 - Intransitive and irregular leaves are dropped too, which is harmless.
 
-Results are deduplicated by group isomorphism plus commutator order and
-sorted by (stratum, serialized origami).
+Results are deduplicated by stratum plus group isomorphism and sorted by
+(stratum, serialized origami).
 """
 
 from __future__ import annotations
@@ -606,32 +606,20 @@ def _search(n, a) -> list:
     return [(sh, svt) for _, svt in sorted(leaves)]
 
 
-def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 1) -> list:
+def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list:
     """All regular pairs on n squares, up to relabeling and group data.
 
-    Deduplicates by (group isomorphism class, commutator order), which is
-    exactly what stratum-existence questions need. Each witness is verified
-    regular before being kept. With several workers the searches, one per
-    cycle type of sigma_h, run in a process pool; their order keeps the
-    merge deterministic.
+    Deduplicates by stratum and group isomorphism class, which is exactly
+    what stratum-existence questions need. Each witness is verified
+    regular before being kept.
     """
     if n < 1:
         raise ValueError(f"square count must be at least 1, got {n}")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
     if n > budget:
         raise BudgetExceeded(f"square count {n} beyond budget {budget}")
-    jobs = [(n, a) for a in divisors(n)]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            pair_lists = pool.starmap(_search, jobs)
-    else:
-        pair_lists = [_search(*job) for job in jobs]
     raw = []
-    for pairs in pair_lists:
-        for sh, sv in pairs:
+    for a in divisors(n):
+        for sh, sv in _search(n, a):
             o = Origami(sh, sv)
             T = translation_group(o)
             # The pair generates a regular group, anti-isomorphic to its
@@ -644,11 +632,8 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET, workers: int = 
     for w in raw:
         dup = False
         for v in kept:
-            if (
-                v.stratum == w.stratum
-                and v.commutator_order == w.commutator_order
-                and is_isomorphic(v.group, w.group, bound=max(n, 64))
-            ):
+            # the stratum H((c-1)^(n/c)) fixes the commutator order c
+            if v.stratum == w.stratum and is_isomorphic(v.group, w.group, bound=max(n, 64)):
                 dup = True
                 break
         if not dup:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .errors import InvalidGenus
 from .numtheory import divisors
 from .oracle import EXISTS, NOT_EXISTS, UNKNOWN, ExistenceVerdict, decide_uniform
-from .strata import uniform_stratum
 
 EXACT = "exact"
 INTERVAL = "interval"
@@ -65,32 +64,17 @@ def _g1_exists(g: int) -> bool:
     return (g - 1) % 2 == 0 or (g - 1) % 3 == 0
 
 
-def _verdict_for_m(g: int, m, budget: int) -> ExistenceVerdict:
+def _verdict_for_m(g: int, m) -> ExistenceVerdict:
     if m is None:
         return ExistenceVerdict(EXISTS, witness=f"{ONE_CYLINDER_TAG}({g})")
     if m == 1:
         if _g1_exists(g):
             return ExistenceVerdict(EXISTS, witness=G1_TAG)
         return ExistenceVerdict(NOT_EXISTS, reason="g1_classification")
-    l = 2 * (g - 1) // m
-    verdict = decide_uniform(m, l)
-    if verdict.status == UNKNOWN and budget:
-        order = (m + 1) * l
-        if order <= budget:
-            verdict = _resolve_by_enumeration(uniform_stratum(m, l), order)
-    return verdict
+    return decide_uniform(m, 2 * (g - 1) // m)
 
 
-def _resolve_by_enumeration(stratum, order: int) -> ExistenceVerdict:
-    from .enumerator import enumerate_regular, witnesses_for_stratum
-
-    hits = witnesses_for_stratum(enumerate_regular(order, budget=order), stratum)
-    if hits:
-        return ExistenceVerdict(EXISTS, witness="origami:" + hits[0].origami.serialize())
-    return ExistenceVerdict(NOT_EXISTS, reason="enumerated_empty")
-
-
-def t_of_g(g: int, budget: int = 0) -> TransBound:
+def t_of_g(g: int) -> TransBound:
     """Scan singularity orders ascending; stop at the first constructive hit.
 
     An Unknown before that hit caps the answer from above and the hit
@@ -100,7 +84,7 @@ def t_of_g(g: int, budget: int = 0) -> TransBound:
     blocking = []
     first_unknown = None
     for m in candidate_ms(g):
-        verdict = _verdict_for_m(g, m, budget)
+        verdict = _verdict_for_m(g, m)
         cand = t_candidate(g, m)
         if verdict.status == EXISTS:
             if first_unknown is None:

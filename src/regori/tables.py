@@ -110,7 +110,7 @@ def classify_order(m: int) -> str:
     return "unknown"
 
 
-def report_small_genus(rows=None, budget: int = 0) -> list:
+def report_small_genus(rows=None) -> list:
     """Recompute the small-genus rows and compare with the embedded table."""
     for g in rows or ():
         if g not in SMALL_GENUS_ROWS:
@@ -119,7 +119,7 @@ def report_small_genus(rows=None, budget: int = 0) -> list:
     out = []
     for g in sorted(rows or SMALL_GENUS_ROWS):
         t, m, stratum_text, group_text, certified = SMALL_GENUS_ROWS[g]
-        bound = t_of_g(g, budget=budget)
+        bound = t_of_g(g)
         if certified:
             ok = bound.status == EXACT and bound.lower == t and bound.m == m
             note = ""

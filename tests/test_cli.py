@@ -188,12 +188,6 @@ def test_enumerate_rejects_nonpositive_n(capsys):
     (["enumerate", "8", "--enum-budget", "0"], "--enum-budget", 1),
     (["--closure-budget", "-1", "regular-origami", "--group", "c(5)"], "--closure-budget", 1),
     (["--sl2-cap", "-1", "psl-pair", "11", "12"], "--sl2-cap", 1),
-    (["t-of-g", "26", "--budget", "-5"], "--budget", 0),
-    (["table", "appendix-a", "--budget", "-1"], "--budget", 0),
-    (["--workers", "0", "enumerate", "6"], "--workers", 1),
-    (["--workers", "-2", "enumerate", "6"], "--workers", 1),
-    (["--workers", "-4", "t-of-g", "26", "--budget", "30"], "--workers", 1),
-    (["--workers", "0", "table", "summary-gm", "--m-max", "3"], "--workers", 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_budgets_below_their_floor_are_usage_errors(capsys, argv, flag, low):
     # the flag is blamed at parse time, not the input it would bound
@@ -207,11 +201,37 @@ def test_budgets_below_their_floor_are_usage_errors(capsys, argv, flag, low):
 
 def test_budgets_at_their_floor_are_accepted(capsys):
     assert run(capsys, "--enum-budget", "1", "enumerate", "1")[0] == 0
-    assert run(capsys, "t-of-g", "26", "--budget", "0")[0] == 0
     with pytest.raises(SystemExit) as exc:
         main(["--closure-budget", "many", "regular-origami", "--group", "c(5)"])
     assert exc.value.code == 2
     assert "argument --closure-budget: invalid int value: 'many'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "6", "--workers", "2"],
+    ["t-of-g", "26", "--budget", "0"],
+    ["table", "appendix-a", "--budget", "1"],
+], ids=" ".join)
+def test_removed_enumeration_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_enumerate_ignores_worker_env(capsys, monkeypatch):
+    expected = run(capsys, "enumerate", "12")
+    monkeypatch.setenv("REGORI_WORKERS", "0")
+    assert run(capsys, "enumerate", "12") == expected
+
+
+def test_one_cylinder_obeys_closure_budget(capsys):
+    code, out = run(capsys, "--closure-budget", "100", "one-cylinder", "26")
+    assert code == 0 and "translations: 50" in out
+    assert main(["--closure-budget", "100", "one-cylinder", "27"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "square count 104 beyond --closure-budget 100" in captured.err
 
 
 def test_enumerate_csv(capsys):
@@ -314,13 +334,3 @@ def test_flags_accepted_after_subcommand(capsys):
     code, out = run(capsys, "t-of-g", "26", "--output", "json")
     assert code == 0
     assert json.loads(out)["t"] == 55
-
-
-def test_worker_env_override(monkeypatch):
-    from regori.cli import build_parser
-
-    monkeypatch.setenv("REGORI_WORKERS", "3")
-    args = build_parser().parse_args(["t-of-g", "26"])
-    assert args.workers == 3
-    args = build_parser().parse_args(["--workers", "2", "t-of-g", "26"])
-    assert args.workers == 2

@@ -104,25 +104,31 @@ def test_one_cylinder_lower_bound_materializes():
 def test_budget_resolution_settles_smallest_open_stratum():
     # H(4^9) is the smallest stratum the rules leave open; all order-45
     # groups are abelian, so enumeration settles it negatively
+    from regori.enumerator import enumerate_regular, witnesses_for_stratum
     from regori.oracle import UNKNOWN, decide
-    from regori.search import _resolve_by_enumeration
     from regori.strata import uniform_stratum
 
     stratum = uniform_stratum(4, 9)
     assert decide(stratum).status == UNKNOWN
-    resolved = _resolve_by_enumeration(stratum, 45)
-    assert resolved.status == "not_exists"
-    assert resolved.reason == "enumerated_empty"
+    assert witnesses_for_stratum(enumerate_regular(45, budget=45), stratum) == []
+
+
+def test_exact_below_the_first_open_stratum():
+    # the scan first consults an unknown stratum at g = 126, H(5^50) of
+    # order 300 (test_interval_row); an unknown consulted at genus g has
+    # order 2(g-1)(m+1)/m > 2(g-1), beyond exhaustive enumeration's reach
+    for g in range(2, 126):
+        assert t_of_g(g).exact, g
 
 
 def test_large_genus_builds_no_stratum(monkeypatch):
-    from regori import search
+    from regori import strata
     from regori.tables import PROGRESSION_ROWS
 
     def refuse(k, l):
         raise AssertionError(f"built H({k}^{l})")
 
-    monkeypatch.setattr(search, "uniform_stratum", refuse)
+    monkeypatch.setattr(strata, "uniform_stratum", refuse)
     p = 1000003  # prime; H(2^p) is the largest stratum the scan meets
     b = t_of_g(p + 1)
     assert b.status == EXACT and b.lower == 2 * p and b.m is None

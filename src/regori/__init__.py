@@ -18,35 +18,7 @@ _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EnumWitness",
-    "ExistenceVerdict",
-    "FiniteGroup",
-    "Origami",
-    "Stratum",
-    "Subgroup",
-    "TransBound",
-    "automorphism_count",
-    "candidate_ms",
-    "center",
-    "closure_from_generators",
-    "decide",
-    "decide_uniform",
-    "derived_subgroup",
-    "enumerate_regular",
-    "extend_by_cyclic",
-    "genus_of",
-    "is_isomorphic",
-    "one_cylinder",
-    "parse_stratum",
-    "regular_origami",
-    "stratum_of",
-    "subgroup_generated",
-    "t_of_g",
-    "translation_group",
-    "translation_order",
-    "uniform_stratum",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -35,7 +35,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="write to FILE instead of stdout")
     parser.add_argument("--closure-budget", type=_positive_int, default=argparse.SUPPRESS)
     parser.add_argument("--enum-budget", type=_positive_int, default=argparse.SUPPRESS)
-    parser.add_argument("--sl2-cap", type=_positive_int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,52 +44,54 @@ def build_parser() -> argparse.ArgumentParser:
         output="text",
         out=None,
         closure_budget=100_000,
-        # None: `enumerate` reads enumerator.DEFAULT_ENUM_BUDGET and
-        # `psl-pair` sl2.DEFAULT_SL2_CAP, so building the parser imports
-        # neither module
+        # None: `enumerate` reads enumerator.DEFAULT_ENUM_BUDGET, so
+        # building the parser does not import the enumerator
         enum_budget=None,
-        sl2_cap=None,
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_command(name, **kwargs):
+    def add_command(name, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
         _add_common_flags(p)
+        p.set_defaults(run=run)
         return p
 
-    p = add_command("stratum-exists", help="decide a stratum")
+    p = add_command("stratum-exists", _cmd_stratum_exists, help="decide a stratum")
     p.add_argument("stratum", help="e.g. 'H(10^5)' or 'H(1,2)'")
 
-    p = add_command("t-of-g", help="maximal translation count in genus g")
+    p = add_command("t-of-g", _cmd_t_of_g, help="maximal translation count in genus g")
     p.add_argument("g", type=int)
 
-    p = add_command("one-cylinder", help="the 2(g-1)-translation origami")
+    p = add_command("one-cylinder", _cmd_one_cylinder, help="the 2(g-1)-translation origami")
     p.add_argument("g", type=int)
 
-    p = add_command("regular-origami", help="origami from a group descriptor")
+    p = add_command("regular-origami", _cmd_regular_origami, help="origami from a group descriptor")
     p.add_argument("--group", required=True, help="witness descriptor, e.g. sd(11,5,3)")
     p.add_argument("--gens", help="element indices 'a,b' overriding the canonical pair")
 
-    p = add_command("psl-pair", help="generating pair with prescribed commutator order")
+    p = add_command("psl-pair", _cmd_psl_pair,
+                    help="generating pair with prescribed commutator order")
     p.add_argument("p", type=int)
     p.add_argument("d", type=int)
 
-    p = add_command("progression", help="residue system for singularity order m")
+    p = add_command("progression", _cmd_progression, help="residue system for singularity order m")
     p.add_argument("m", type=int)
 
-    p = add_command("semidirect-exists", help="cyclic-by-cyclic witness for commutator order u, index l")
+    p = add_command("semidirect-exists", _cmd_semidirect_exists,
+                    help="cyclic-by-cyclic witness for commutator order u, index l")
     p.add_argument("u", type=int)
     p.add_argument("l", type=int)
 
-    p = add_command("enumerate", help="all regular pairs on n squares")
+    p = add_command("enumerate", _cmd_enumerate, help="all regular pairs on n squares")
     p.add_argument("n", type=int)
 
-    p = add_command("table", help="reference-row reports")
+    p = add_command("table", _cmd_table, help="reference-row reports")
     p.add_argument("which", choices=("appendix-a", "summary-gm"))
     p.add_argument("--rows", help="comma-separated genera (appendix-a)")
-    p.add_argument("--m-max", type=int, default=25, help="largest order (summary-gm)")
+    p.add_argument("--m-max", type=_positive_int, default=25, help="largest order (summary-gm)")
 
-    p = add_command("verify-appendix-b", help="criterion vs brute force over a grid")
+    p = add_command("verify-appendix-b", _cmd_verify_appendix_b,
+                    help="criterion vs brute force over a grid")
     p.add_argument("umax", type=int)
     p.add_argument("lmax", type=int)
     return top
@@ -236,7 +237,11 @@ def _cmd_regular_origami(args) -> int:
 def _cmd_psl_pair(args) -> int:
     from . import sl2
 
-    cap = sl2.DEFAULT_SL2_CAP if args.sl2_cap is None else args.sl2_cap
+    # the closure walks the orbit of a nonzero vector of F_p^2
+    orbit = args.p * args.p - 1
+    if orbit > args.closure_budget:
+        raise BudgetExceeded(
+            f"orbit size p^2 - 1 = {orbit} beyond --closure-budget {args.closure_budget}")
     A, B = sl2.build_generating_pair(args.p, args.d)
     comm = sl2.commutator(A, B)
     payload = {
@@ -245,7 +250,7 @@ def _cmd_psl_pair(args) -> int:
         "A": str(A),
         "B": str(B),
         "commutator_order": sl2.mat_order(comm),
-        "closure_order": sl2.closure_order(args.p, A, B, cap=cap),
+        "closure_order": sl2.closure_order(args.p, A, B),
     }
     _emit(args, payload)
     return 0
@@ -279,6 +284,7 @@ def _cmd_enumerate(args) -> int:
 
     budget = enumerator.DEFAULT_ENUM_BUDGET if args.enum_budget is None else args.enum_budget
     found = enumerator.enumerate_regular(args.n, budget=budget)
+    header = ("stratum", "group_order", "commutator_order", "origami")
     rows = [
         (str(w.stratum), w.group_order, w.commutator_order, w.origami.serialize())
         for w in found
@@ -286,17 +292,9 @@ def _cmd_enumerate(args) -> int:
     payload = {
         "n": args.n,
         "count": len(found),
-        "witnesses": [
-            {
-                "stratum": r[0],
-                "group_order": r[1],
-                "commutator_order": r[2],
-                "origami": r[3],
-            }
-            for r in rows
-        ],
+        "witnesses": [dict(zip(header, r)) for r in rows],
     }
-    _emit(args, payload, rows=rows, row_header=("stratum", "group_order", "commutator_order", "origami"))
+    _emit(args, payload, rows=rows, row_header=header)
     return 0
 
 
@@ -305,31 +303,20 @@ def _cmd_table(args) -> int:
 
     if args.which == "appendix-a":
         keys = [int(v) for v in args.rows.split(",")] if args.rows is not None else None
-        reports = tables.report_small_genus(rows=keys)
-        header = ("g", "expected", "computed", "match", "note")
+        reports, key = tables.report_small_genus(rows=keys), "g"
     else:
-        if args.m_max < 1:
-            raise ValueError(f"--m-max must be at least 1, got {args.m_max}")
-        reports = tables.report_summary(args.m_max)
-        header = ("m", "expected", "computed", "match", "note")
+        reports, key = tables.report_summary(args.m_max), "m"
+    fields = ("expected", "computed", "match", "note")
     rows = [
         (r.key, list(r.expected), list(r.computed), r.match, r.note) for r in reports
     ]
+    all_match = all(r.match for r in reports)
     payload = {
-        "rows": [
-            {
-                "key": r.key,
-                "expected": list(r.expected),
-                "computed": list(r.computed),
-                "match": r.match,
-                "note": r.note,
-            }
-            for r in reports
-        ],
-        "all_match": all(r.match for r in reports),
+        "rows": [dict(zip(("key", *fields), r)) for r in rows],
+        "all_match": all_match,
     }
-    _emit(args, payload, rows=rows, row_header=header)
-    return 0 if all(r.match for r in reports) else 1
+    _emit(args, payload, rows=rows, row_header=(key, *fields))
+    return 0 if all_match else 1
 
 
 def _cmd_verify_appendix_b(args) -> int:
@@ -356,29 +343,11 @@ def _cmd_verify_appendix_b(args) -> int:
     return 0 if not mismatches else 1
 
 
-_COMMANDS = {
-    "stratum-exists": _cmd_stratum_exists,
-    "t-of-g": _cmd_t_of_g,
-    "one-cylinder": _cmd_one_cylinder,
-    "regular-origami": _cmd_regular_origami,
-    "psl-pair": _cmd_psl_pair,
-    "progression": _cmd_progression,
-    "semidirect-exists": _cmd_semidirect_exists,
-    "enumerate": _cmd_enumerate,
-    "table": _cmd_table,
-    "verify-appendix-b": _cmd_verify_appendix_b,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except RegoriError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.run(args)
+    except (RegoriError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,62 +2,33 @@
 
 A pair (sigma_h, sigma_v) is regular when the generated group acts simply
 transitively, i.e. the origami's translations act transitively. For each
-cycle type a^(n/a) of sigma_h, a ascending, one search fixes sigma_h as
-the canonical product of equal cycles and backtracks over sigma_v. The
-cycle length b of sigma_v is left open until its first cycle closes,
-which fixes it; before that, chains may grow to any length below n. The
-search finds every regular pair with ord x = a up to relabelling, for
-every b.
+cycle type a^(n/a) of sigma_h, a ascending, one search (`_search`) fixes
+sigma_h as the canonical product of equal cycles and backtracks over
+sigma_v. The cycle length b of sigma_v is left open until its first cycle
+closes, which fixes it. The search finds every regular pair with ord x = a
+up to relabelling, for every b.
 
-These devices keep the tree small:
+These devices keep the tree small, each explained where it lives:
 
-* branching along square 0's chain: while the sigma_v-chain through
-  square 0 is open, the search branches on its last square, so that a
-  cycle closes and fixes b early; after that, on the smallest unset
-  square;
-* translation propagation: for each tracked target square j, the partial
-  translation sending 0 to j is kept across the whole search and grown
-  incrementally as sigma_v is set, with every change on an undo trail
-  that backtracking unwinds (the partial coset-table closure of low-index
-  search, Sims, *Computation with Finitely Presented Groups*, ch. 5). A
-  conflict kills the branch, and values it forces on sigma_v are applied
-  at once (this realizes the freeness prune: any word fixing a square
-  must fix them all). Only a value the search chose goes through the
-  rules of every tracked target. A forced value is a translate of the
-  chosen edge, so it gets sigma_v bookkeeping only, and its consequences
-  are met as sigma_h-cycles enter domains. The translations may thus stay
-  partial at a leaf, so a leaf is tested afresh: a breadth-first search
-  from square 0 for transitivity, then a count of its translations;
-* tracked targets (`_tracked`): the squares of sigma_h-cycles 0 and 1 and
-  every cycle leader c*a. In a regular completion tau_(c*a+i) =
-  tau_(c*a) tau_i, so these translations generate all of them, and a
-  composite target would mostly repeat deductions its factors make.
-  Cycle 1 is kept because sigma_v(0) lies in cycle 0 or on the fresh
-  leader a, so cycle 1 holds the first composite translations (y x^i)
-  the search can use. Any set of targets is sound: a target only prunes
-  or forces what every regular completion satisfies, and the leaf tests
-  do not read the targets;
-* a read-only candidate filter: before a candidate is written, one pass
-  over the translations reads off the first checks that setting it would
-  make, which may pin sigma_v(p) or rule out whole sigma_h-cycles;
-* exact subtree prunes: when the search enters an untouched cycle and
-  the orbit of square 0 over the edges set so far is closed, every leaf
-  below is intransitive; and a short word (below) that has closed on a
-  partial sigma_v stays closed in every leaf;
+* branching along square 0's chain, so that b is fixed early (`_search`);
+* translation propagation (`_PairState`, over the targets of `_tracked`):
+  the partial coset-table closure of low-index search (Sims, *Computation
+  with Finitely Presented Groups*, ch. 5). A conflict kills the branch,
+  and the sigma_v values it forces are applied at once (the freeness
+  prune: any word fixing a square must fix them all). The translations
+  may stay partial at a leaf, so a leaf is tested afresh for transitivity
+  and regularity;
+* a read-only candidate filter (`_PairState.admissible`);
+* exact subtree prunes: a closed orbit of square 0 smaller than n
+  (`_orbit_size`), below which every leaf is intransitive, and a short
+  word that has closed (`_short_word`);
 * cycle symmetry: permuting the untouched sigma_h-cycles commutes with
   sigma_h, so a choice entering fresh territory may as well land on the
   leader of the first untouched cycle;
-* class representatives: the first closed cycle may fix only b >= a, and
-  a complete sigma_v is dropped when, walking from square 0, the word
-  x^k y (1 <= k < a) closes in fewer than b steps or x y^k (1 <= k < b)
-  in fewer than a;
-* no n-cycle beside a > 1 (`_longest`): with b = n, G = <y> is cyclic and
-  x = y^m, so x y^(n-m) closes in one step, fewer than a, and the pair
-  would be dropped. While b is open, a chain may thus grow only to the
-  largest proper divisor of n;
-* closed forms (`_closed_form`): a = 1 has the one leaf (1, 2, ..., n-1,
-  0), which the search would reach, and a = n > 1 has none, since b >= a
-  makes b = n there.
+* class representatives: the first closed cycle may fix only b >= a
+  (`_closable`), and a complete sigma_v with a short word is dropped;
+* no n-cycle beside a > 1 (`_longest`), and closed forms for a = 1 and
+  a = n (`_closed_form`).
 
 The raw order of pairs is a, then b, then sigma_v lexicographic, over the
 regular pairs that pass the class-representative tests, each taken up to
@@ -104,9 +75,6 @@ that:
   raw member. Dropping leaves keeps the rest of the raw stream in order,
   so that member is still the first.
 - Intransitive and irregular leaves are dropped too, which is harmless.
-
-Results are deduplicated by stratum plus group isomorphism and sorted by
-(stratum, serialized origami).
 """
 
 from __future__ import annotations
@@ -146,8 +114,12 @@ class _Conflict(Exception):
 
 def _longest(n, a) -> int:
     """The longest sigma_v cycle a kept pair can have beside sigma_h of type
-    a^(n/a): n when a = 1, else the largest proper divisor of n (no n-cycle
-    beside a > 1, module docstring)."""
+    a^(n/a): n when a = 1, else the largest proper divisor of n.
+
+    With b = n and a > 1, G = <y> is cyclic and x = y^m, so x y^(n-m) closes
+    in one step, fewer than a, and the pair would be dropped as a short
+    word. While b is open, a chain may thus grow only to this length.
+    """
     return n if a == 1 else n // next(d for d in range(2, n + 1) if n % d == 0)
 
 
@@ -209,8 +181,15 @@ def _apply(sv, svi, cstart, cend, clen, a, b, p, q):
 
 def _tracked(n, a) -> list:
     """The target squares whose translations the pair search keeps: those
-    of sigma_h-cycles 0 and 1, and every cycle leader c*a (see the module
-    docstring). For a = 1 or a >= n/2 that is every square but 0."""
+    of sigma_h-cycles 0 and 1, and every cycle leader c*a. For a = 1 or
+    a >= n/2 that is every square but 0.
+
+    In a regular completion tau_(c*a+i) = tau_(c*a) tau_i, so these
+    translations generate all of them, and a composite target would mostly
+    repeat deductions its factors make. Cycle 1 is kept because sigma_v(0)
+    lies in cycle 0 or on the fresh leader a, so cycle 1 holds the first
+    composite translations (y x^i) the search can use.
+    """
     return [*range(1, min(n, 2 * a)), *range(2 * a, n, a)]
 
 
@@ -220,18 +199,18 @@ class _PairState:
     sigma_v's cycle length b is None until its first cycle closes, which
     fixes it (`_closable`); until then chains may grow to any length.
 
-    For each tracked target j (`_tracked`: the squares of sigma_h-cycles 0
-    and 1 and the cycle leaders, which generate every translation of a
-    regular completion) it keeps the partial translation tau_j sending
-    square 0 to j, and its inverse, grown by three rules: an edge of
-    sigma_h or sigma_v at x whose image edge at tau_j(x) exists assigns
-    tau_j at the other end; tau_j stays injective; and an edge x -> y of
-    sigma_v with tau_j defined at both ends forces sigma_v at tau_j(x) to
-    be tau_j(y). Every regular completion meets these rules for every j,
-    so tracking fewer targets only prunes and forces less. Target 0 is the
-    identity, which never conflicts or forces anything. `set` applies the
-    rules to its edge and collects the sigma_v values they force; `extend`
-    writes those with their sigma_v bookkeeping only (see its docstring).
+    For each tracked target j (`_tracked`) it keeps the partial translation
+    tau_j sending square 0 to j, and its inverse, grown by three rules: an
+    edge of sigma_h or sigma_v at x whose image edge at tau_j(x) exists
+    assigns tau_j at the other end; tau_j stays injective; and an edge
+    x -> y of sigma_v with tau_j defined at both ends forces sigma_v at
+    tau_j(x) to be tau_j(y). Every regular completion meets these rules
+    for every j, and the leaf tests of `_search` do not read the targets,
+    so any set of targets is sound; fewer only prune and force less.
+    Target 0 is the identity, which never conflicts or forces anything.
+    `set` applies the rules to its edge and collects the sigma_v values
+    they force; `extend` writes those with their sigma_v bookkeeping only
+    (see its docstring).
 
     A translation commutes with sigma_h, so it maps each sigma_h-cycle onto
     one by a rotation: tau_j's domain grows a whole cycle at a time, and
@@ -527,7 +506,8 @@ def _least_conjugate(sv, a) -> tuple:
 
 def _closed_form(n, a):
     """The leaves of `_search` for a = 1, the n-cycle (1, 2, ..., n-1, 0),
-    and for a = n > 1, none (module docstring); None for any other a."""
+    which the search would reach; for a = n > 1, none, since b >= a makes
+    b = n there (`_longest`); None for any other a."""
     if a == 1:
         return [(*range(1, n), 0)]
     return [] if a == n else None
@@ -610,8 +590,9 @@ def enumerate_regular(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list:
     """All regular pairs on n squares, up to relabeling and group data.
 
     Deduplicates by stratum and group isomorphism class, which is exactly
-    what stratum-existence questions need. Each witness is verified
-    regular before being kept.
+    what stratum-existence questions need, and sorts by (stratum,
+    serialized origami). Each witness is verified regular before being
+    kept.
     """
     if n < 1:
         raise ValueError(f"square count must be at least 1, got {n}")

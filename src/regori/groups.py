@@ -135,10 +135,6 @@ class Subgroup(namedtuple("Subgroup", "parent members")):
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def index(self) -> int:
-        return self.parent.order // len(self.members)
-
 
 def closure(identity, gens, mul, budget=None) -> list:
     """Every product of gens, in breadth-first discovery order from identity.

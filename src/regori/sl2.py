@@ -26,8 +26,6 @@ from .errors import (
 )
 from .numtheory import factorize, is_prime
 
-DEFAULT_SL2_CAP = 101
-
 
 class Mat2(namedtuple("Mat2", "p a b c d")):
     """A matrix [[a, b], [c, d]] over F_p with determinant one."""
@@ -188,7 +186,7 @@ def mw_generates(p: int, A: Mat2, B: Mat2) -> bool:
     return True
 
 
-def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
+def closure_order(p: int, A: Mat2, B: Mat2) -> int:
     """Exact order of <A, B> by orbit-stabilizer on the nonzero vectors of F_p^2.
 
     The orbit of e1 = (1, 0) is walked breadth-first, keeping for each vector
@@ -197,10 +195,10 @@ def closure_order(p: int, A: Mat2, B: Mat2, cap: int = DEFAULT_SL2_CAP) -> int:
     unipotent group [[1, b], [0, 1]] of prime order p, so the stabilizer in
     <A, B> has order 1 or p. By Schreier's lemma it is generated by the
     elements g_sv^-1 s g_v, one per orbit vector v and generator s, and such an
-    element is nontrivial iff s g_v differs from the stored g_sv. O(p^2) steps.
+    element is nontrivial iff s g_v differs from the stored g_sv. The orbit
+    has at most p^2 - 1 vectors; callers bound that before calling
+    (`regori --closure-budget`).
     """
-    if p > cap:
-        raise BudgetExceeded(f"p = {p} beyond closure cap {cap}")
     _same_field(A, B)
     gens = (A[1:], B[1:])
     column = {(1, 0): (0, 1)}

@@ -152,7 +152,7 @@ def test_criterion_7_generating_pairs_sweep_to_211():
                     continue
                 A, B = sl2.build_generating_pair(p, d)
                 assert sl2.mat_order(sl2.commutator(A, B)) == d, (p, d)
-                assert sl2.closure_order(p, A, B, cap=211) == p * (p - 1) * (p + 1), (p, d)
+                assert sl2.closure_order(p, A, B) == p * (p - 1) * (p + 1), (p, d)
 
 
 def test_criterion_8_enumerator_vs_theorems():

@@ -28,7 +28,7 @@ def test_stratum_exists_json(capsys):
 
 
 def test_stratum_exists_psl_beyond_closure_cap(capsys):
-    # PSL(2,107) is past --sl2-cap; the answer needs no closure
+    # the answer needs no closure of PSL(2,107)
     code, payload = run_json(capsys, "stratum-exists", "H(53^11342)")
     assert code == 0
     assert payload["witness"] == "psl(107,108)"
@@ -187,7 +187,7 @@ def test_enumerate_rejects_nonpositive_n(capsys):
     (["--enum-budget", "-3", "enumerate", "8"], "--enum-budget", 1),
     (["enumerate", "8", "--enum-budget", "0"], "--enum-budget", 1),
     (["--closure-budget", "-1", "regular-origami", "--group", "c(5)"], "--closure-budget", 1),
-    (["--sl2-cap", "-1", "psl-pair", "11", "12"], "--sl2-cap", 1),
+    (["table", "summary-gm", "--m-max", "0"], "--m-max", 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_budgets_below_their_floor_are_usage_errors(capsys, argv, flag, low):
     # the flag is blamed at parse time, not the input it would bound
@@ -211,8 +211,9 @@ def test_budgets_at_their_floor_are_accepted(capsys):
     ["enumerate", "6", "--workers", "2"],
     ["t-of-g", "26", "--budget", "0"],
     ["table", "appendix-a", "--budget", "1"],
+    ["--sl2-cap", "200", "psl-pair", "11", "12"],
 ], ids=" ".join)
-def test_removed_enumeration_flags_are_usage_errors(capsys, argv):
+def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -232,6 +233,23 @@ def test_one_cylinder_obeys_closure_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square count 104 beyond --closure-budget 100" in captured.err
+
+
+def test_psl_pair_obeys_closure_budget(capsys):
+    import time
+
+    # the closure walks the p^2 - 1 nonzero vectors of F_p^2
+    code, out = run(capsys, "--closure-budget", "120", "psl-pair", "11", "12")
+    assert code == 0 and "closure_order: 1320" in out
+    for argv in (["--closure-budget", "119", "psl-pair", "11", "12"],
+                 ["psl-pair", "100003", "6"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beyond --closure-budget" in captured.err
+        assert elapsed < 1, f"{argv} took {elapsed:.2f} s"
 
 
 def test_enumerate_csv(capsys):
@@ -306,7 +324,6 @@ def test_ranges_that_check_nothing_are_rejected(capsys):
         (["verify-appendix-b", "-1", "3"], "need umax >= 3 and lmax >= 1"),
         (["verify-appendix-b", "2", "8"], "need umax >= 3 and lmax >= 1"),
         (["verify-appendix-b", "21", "0"], "need umax >= 3 and lmax >= 1"),
-        (["table", "summary-gm", "--m-max", "0"], "--m-max must be at least 1"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

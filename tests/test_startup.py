@@ -89,6 +89,14 @@ def test_regular_origami_skips_dataclasses(group, stratum):
 
 
 def test_lazy_package_namespace():
+    assert regori.__all__ == [
+        "EnumWitness", "ExistenceVerdict", "FiniteGroup", "Origami", "Stratum", "Subgroup",
+        "TransBound", "automorphism_count", "candidate_ms", "center",
+        "closure_from_generators", "decide", "decide_uniform", "derived_subgroup",
+        "enumerate_regular", "extend_by_cyclic", "genus_of", "is_isomorphic", "one_cylinder",
+        "parse_stratum", "regular_origami", "stratum_of", "subgroup_generated", "t_of_g",
+        "translation_group", "translation_order", "uniform_stratum",
+    ]
     for name in regori.__all__:
         assert getattr(regori, name).__module__.startswith("regori.")
     namespace = {}

@@ -203,13 +203,11 @@ def _cmd_one_cylinder(args) -> int:
 
 def _cmd_regular_origami(args) -> int:
     from . import witnesses
-    from .origami import genus_of, regular_origami, stratum_of, translation_order
+    from .origami import regular_origami, stratum_of, translation_order
 
-    if witnesses.descriptor_order(args.group) > args.closure_budget:
-        raise BudgetExceeded(
-            f"group order {witnesses.descriptor_order(args.group)} beyond "
-            f"--closure-budget {args.closure_budget}"
-        )
+    order = witnesses.descriptor_order(args.group)
+    if order > args.closure_budget:
+        raise BudgetExceeded(f"group order {order} beyond --closure-budget {args.closure_budget}")
     G, x, y = witnesses.materialize(args.group)
     if args.gens is not None:
         try:
@@ -221,13 +219,14 @@ def _cmd_regular_origami(args) -> int:
         if not (0 <= x < G.order and 0 <= y < G.order):
             raise ValueError(f"--gens indices must lie in 0..{G.order - 1}, got {args.gens}")
     o = regular_origami(G, x, y)
+    stratum = stratum_of(o)
     payload = {
         "group": args.group,
         "order": G.order,
         "generators": [G.coords(x), G.coords(y)],
         "origami": o.serialize(),
-        "stratum": str(stratum_of(o)),
-        "genus": genus_of(o),
+        "stratum": str(stratum),
+        "genus": stratum.genus,
         "translations": translation_order(o),
     }
     _emit(args, payload)

@@ -14,8 +14,6 @@ from .errors import InternalAssertion, NoSuchAction, OutOfRange
 from .groups import FiniteGroup, generates
 from .numtheory import check_twist
 
-TWO_GROUP_FAMILIES = ("cyclic", "cyclic_x_z2", "M", "D", "SD", "Dic")
-
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
@@ -36,13 +34,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
         a, b = divmod(x, _m)
         return [_G.coords(a), H.coords(b)]
 
-    return FiniteGroup(
-        G.order * m,
-        mul,
-        identity=G.identity * m + H.identity,
-        label=f"({G.label}) x ({H.label})",
-        coords=coords,
-    )
+    return FiniteGroup(G.order * m, mul, label=f"({G.label}) x ({H.label})", coords=coords)
 
 
 def semidirect_cyclic(m: int, n: int, d: int) -> FiniteGroup:
@@ -62,9 +54,7 @@ def semidirect_cyclic(m: int, n: int, d: int) -> FiniteGroup:
         a, b = divmod(x, _n)
         return [a, b]
 
-    return FiniteGroup(
-        m * n, mul, identity=0, label=f"Z/{m} : Z/{n} (mult {d})", coords=coords
-    )
+    return FiniteGroup(m * n, mul, label=f"Z/{m} : Z/{n} (mult {d})", coords=coords)
 
 
 def semidirect_generators(m: int, n: int) -> tuple:
@@ -90,7 +80,7 @@ def _dicyclic(alpha: int) -> FiniteGroup:
         return i * 2 + j
 
     return FiniteGroup(
-        2 ** alpha, mul, identity=0, label=f"Dic{2 ** alpha}", coords=lambda u: list(divmod(u, 2))
+        2 ** alpha, mul, label=f"Dic{2 ** alpha}", coords=lambda u: list(divmod(u, 2))
     )
 
 
@@ -164,7 +154,7 @@ def _q8_mul(u: int, v: int) -> int:
 
 
 def quaternions() -> FiniteGroup:
-    return FiniteGroup(8, _q8_mul, identity=0, label="Q8", coords=lambda u: Q8_NAMES[u])
+    return FiniteGroup(8, _q8_mul, label="Q8", coords=lambda u: Q8_NAMES[u])
 
 
 def _twist_witness(lam, core, core_label, core_mul, theta, core_coords, x_core, y_core,
@@ -194,8 +184,7 @@ def _twist_witness(lam, core, core_label, core_mul, theta, core_coords, x_core, 
         a, q = divmod(w, _core)
         return [[a, *core_coords(q)], c]
 
-    G = FiniteGroup(3 * core * lam, mul, identity=0, label=f"(Z/{lam} x {core_label}) : Z/3",
-                    coords=coords)
+    G = FiniteGroup(3 * core * lam, mul, label=f"(Z/{lam} x {core_label}) : Z/3", coords=coords)
     x = ((1 % lam) * core + x_core) * 3
     y = y_core * 3 + 1
     if G.element_order(G.commutator(x, y)) != comm_order or not generates(G, (x, y)):

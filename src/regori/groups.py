@@ -15,21 +15,25 @@ from collections import namedtuple
 from math import gcd
 
 from . import perms
-from .errors import BudgetExceeded, DegreeMismatch, NotGenerating
+from .errors import BudgetExceeded, DegreeMismatch
 
 DEFAULT_ISO_BOUND = 64
 
 
 class FiniteGroup:
-    """A finite group with elements 0..order-1 and a callable product."""
+    """A finite group with elements 0..order-1 and a callable product.
 
-    def __init__(self, order, mul, identity=0, label="", coords=None, perms_list=None):
+    Every construction numbers the identity 0.
+    """
+
+    identity = 0
+
+    def __init__(self, order, mul, label="", coords=None, perms_list=None):
         if order < 1:
             raise ValueError("order must be positive")
         self.order = order
         # the product on indices, a plain attribute so inner loops call it directly
         self.mul = mul
-        self.identity = identity
         self.label = label or f"group of order {order}"
         # optional pretty-printer for structured elements, used in reports
         self._coords = coords
@@ -48,7 +52,7 @@ class FiniteGroup:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
-        result = self.identity
+        result = 0
         base = a
         while k:
             if k & 1:
@@ -61,9 +65,9 @@ class FiniteGroup:
         cached = self._orders.get(a)
         if cached is not None:
             return cached
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
+        k, x, mul = 1, a, self.mul
+        while x:  # index 0 is the identity
+            x = mul(x, a)
             k += 1
         self._orders[a] = k
         return k
@@ -110,9 +114,10 @@ class FiniteGroup:
         return tuple(self.mul(g, x) for g in self.elements())
 
     def check_axioms(self):
-        """Exhaustive associativity / identity / inverse check. O(n^3): small groups only."""
+        """Exhaustive check that index 0 is the identity, of inverses and of
+        associativity. O(n^3): small groups only."""
         n = self.order
-        e = self.identity
+        e = 0
         for a in range(n):
             if self.mul(a, e) != a or self.mul(e, a) != a:
                 raise AssertionError(f"{e} is not an identity at {a}")
@@ -177,12 +182,12 @@ def closure_from_generators(gens, budget: int, label: str = "") -> FiniteGroup:
         return _index[perms.compose(_elems[a], _elems[b])]
 
     label = label or f"closure of {len(gens)} permutations on {degree} points"
-    return FiniteGroup(len(elems), mul, identity=0, label=label, perms_list=elems)
+    return FiniteGroup(len(elems), mul, label=label, perms_list=elems)
 
 
 def subgroup_generated(G: FiniteGroup, elems) -> Subgroup:
     """Closure of a set of elements under multiplication (BFS on indices)."""
-    return Subgroup(G, frozenset(closure(G.identity, list(elems), G.mul)))
+    return Subgroup(G, frozenset(closure(0, list(elems), G.mul)))
 
 
 def generates(G: FiniteGroup, elems) -> bool:
@@ -198,7 +203,7 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """
     gens = generating_set(G)
     if not gens:
-        return Subgroup(G, frozenset({G.identity}))
+        return Subgroup(G, frozenset({0}))
     seeds = {G.commutator(s, t) for s in gens for t in gens}
     mul = G.mul
     while True:
@@ -237,7 +242,7 @@ def generating_set(G: FiniteGroup) -> list:
     orders = _all_element_orders(G)
     ranked = sorted(G.elements(), key=lambda a: (-orders[a], a))
     gens = []
-    current = {G.identity}
+    current = {0}
     for a in ranked:
         if a in current:
             continue
@@ -255,12 +260,12 @@ def _all_element_orders(G: FiniteGroup) -> dict:
     every power its order at once: ord(a^i) = k / gcd(i, k).
     """
     orders = G._orders
-    mul, e = G.mul, G.identity
+    mul = G.mul
     for a in G.elements():
         if a in orders:
             continue
         powers = [a]
-        while powers[-1] != e:
+        while powers[-1]:  # index 0 is the identity
             powers.append(mul(powers[-1], a))
         k = len(powers)
         for i, b in enumerate(powers, 1):
@@ -276,8 +281,8 @@ def _hom_extension_images(G: FiniteGroup, H: FiniteGroup, gens, images):
     f(a*g) = f(a)*f(g), which forces the homomorphism property on the
     whole group.
     """
-    f = {G.identity: H.identity}
-    queue = [G.identity]
+    f = {0: 0}
+    queue = [0]
     gmul, hmul = G.mul, H.mul
     while queue:
         a = queue.pop()
@@ -342,8 +347,3 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, bound: int = DEFAULT_ISO_BOUND
     for _ in _iter_isomorphisms(G, H, gens):
         return True
     return False
-
-
-def require_generating_pair(G: FiniteGroup, x: int, y: int):
-    if not generates(G, (x, y)):
-        raise NotGenerating(f"elements {x}, {y} generate a proper subgroup of {G.label}")

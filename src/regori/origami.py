@@ -3,21 +3,23 @@
 Squares are glued rightward by sigma_h and upward by sigma_v. The surface
 must be connected, so the pair is required to act transitively. Building
 from a group uses right multiplication for the gluings, which leaves left
-multiplication free to act as translations.
+multiplication free to act as translations; the squares are then connected
+exactly when the two elements generate the group.
 """
 
 from __future__ import annotations
 
 from . import perms
-from .errors import InvalidGenus
-from .groups import FiniteGroup, require_generating_pair
+from .errors import InvalidGenus, NotGenerating
+from .groups import FiniteGroup, generates
 from .strata import Stratum
 
 
 class Origami:
     """An immutable, hashable pair (sigma_h, sigma_v) of permutations acting
     transitively; a plain class, so that building one imports no
-    `dataclasses`."""
+    `dataclasses`. Raises NotGenerating (a ValueError) when the squares are
+    not connected."""
 
     __slots__ = ("sigma_h", "sigma_v")
 
@@ -27,7 +29,7 @@ class Origami:
         object.__setattr__(self, "sigma_h", h)
         object.__setattr__(self, "sigma_v", v)
         if not perms.is_transitive_pair(h, v):
-            raise ValueError("the squares are not connected")
+            raise NotGenerating("the squares are not connected")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -68,8 +70,11 @@ class Origami:
 
 
 def regular_origami(G: FiniteGroup, x: int, y: int) -> Origami:
-    """Label squares by group elements; glue rightward by *x and upward by *y."""
-    require_generating_pair(G, x, y)
+    """Label squares by group elements; glue rightward by *x and upward by *y.
+
+    The squares reachable from square 0 form the subgroup that x and y
+    generate, so `Origami` raises NotGenerating unless they generate G.
+    """
     return Origami(G.right_translation(x), G.right_translation(y))
 
 
@@ -90,8 +95,7 @@ def stratum_of(o: Origami) -> Stratum:
 
 
 def genus_of(o: Origami) -> int:
-    cycles = perms.cycles(singularity_permutation(o))
-    return (o.n - len(cycles)) // 2 + 1
+    return stratum_of(o).genus
 
 
 def _extend(h, v, hi, vi, j: int):
@@ -195,10 +199,10 @@ def translations(o: Origami) -> list:
 def translation_group(o: Origami) -> FiniteGroup:
     """The translations as an indexed group; they are already closed.
 
-    Element i is translations(o)[i], so on a regular origami element j is
-    the translation sending square 0 to j. A translation is determined by
-    the image of square 0, so a product is found from where it sends 0,
-    without composing permutations.
+    Element i is translations(o)[i], so element 0 is the identity, and on a
+    regular origami element j is the translation sending square 0 to j. A
+    translation is determined by the image of square 0, so a product is
+    found from where it sends 0, without composing permutations.
     """
     taus = translations(o)
     pos = {t[0]: i for i, t in enumerate(taus)}
@@ -207,11 +211,7 @@ def translation_group(o: Origami) -> FiniteGroup:
         return _pos[_taus[a][_taus[b][0]]]
 
     return FiniteGroup(
-        len(taus),
-        mul,
-        identity=pos[0],
-        label=f"translations of {o.n}-square origami",
-        perms_list=taus,
+        len(taus), mul, label=f"translations of {o.n}-square origami", perms_list=taus
     )
 
 
@@ -247,5 +247,6 @@ def extend_by_cyclic(G: FiniteGroup, x: int, y: int, k: int) -> tuple:
     H = direct_product(G, cyclic(k))
     a = x * k + u
     b = y * k + v
-    require_generating_pair(H, a, b)
+    if not generates(H, (a, b)):
+        raise NotGenerating(f"elements {a}, {b} generate a proper subgroup of {H.label}")
     return H, a, b

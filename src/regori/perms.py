@@ -76,7 +76,11 @@ def cycle_type(p: tuple) -> tuple:
 
 
 def is_transitive_pair(p: tuple, q: tuple) -> bool:
-    """Whether <p, q> acts transitively on the common domain."""
+    """Whether <p, q> acts transitively on the common domain.
+
+    On a finite set each inverse is a power, p^-1 = p^(ord p - 1), so the
+    points reachable from 0 by p and q alone form the orbit of 0.
+    """
     n = len(p)
     if len(q) != n:
         raise DegreeMismatch(f"degrees {n} and {len(q)} differ")
@@ -84,10 +88,9 @@ def is_transitive_pair(p: tuple, q: tuple) -> bool:
     seen[0] = True
     stack = [0]
     count = 1
-    pi, qi = invert(p), invert(q)
     while stack:
         i = stack.pop()
-        for f in (p, q, pi, qi):
+        for f in (p, q):
             j = f[i]
             if not seen[j]:
                 seen[j] = True

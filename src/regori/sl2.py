@@ -132,8 +132,10 @@ def order_d_element(p: int, d: int) -> Mat2:
     if d < 3:
         raise NoSuchOrder(f"order {d} below 3")
     if (p - 1) % d == 0:
+        primes = set(factorize(d))
         for lam in range(2, p):
-            if _mult_order(lam, p) == d:
+            # lam has order exactly d: lam^d = 1 and no lam^(d/q) = 1 for a prime q | d
+            if pow(lam, d, p) == 1 and all(pow(lam, d // q, p) != 1 for q in primes):
                 return Mat2(p, lam, 0, 0, pow(lam, -1, p))
         raise InternalAssertion(f"no order-{d} unit mod {p}")  # pragma: no cover
     if (p + 1) % d == 0:
@@ -143,16 +145,6 @@ def order_d_element(p: int, d: int) -> Mat2:
                 return M
         raise InternalAssertion(f"no order-{d} companion matrix mod {p}")
     raise NoSuchOrder(f"{p} is not +-1 mod {d}")
-
-
-def _mult_order(x: int, p: int) -> int:
-    k, y = 1, x % p
-    while y != 1:
-        y = y * x % p
-        k += 1
-        if k > p:
-            raise InternalAssertion(f"{x} is not a unit mod {p}")
-    return k
 
 
 def mw_generates(p: int, A: Mat2, B: Mat2) -> bool:
@@ -291,15 +283,16 @@ def psl_group(p: int, A: Mat2, B: Mat2):
     """PSL(2,p) generated by the images of A and B, as an indexed group.
 
     The full matrix closure is built first, in breadth-first order; classes
-    {M, -M} are numbered in order of discovery and kept as their smaller
-    4-tuple. Returns (group, a, b). Callers bound the cost by the group
-    order, p(p^2 - 1)/2, before calling (`regori --closure-budget`).
+    {M, -M} are numbered in order of discovery, so the identity is 0, and
+    printed as their `projective_class`. Returns (group, a, b). Callers
+    bound the cost by the group order, p(p^2 - 1)/2, before calling
+    (`regori --closure-budget`).
     """
     from .groups import FiniteGroup, closure
 
     _same_field(A, B)
-    ident, gens = (1, 0, 0, 1), (A[1:], B[1:])
-    sl = closure(ident, gens, partial(_product, p))
+    gens = (A[1:], B[1:])
+    sl = closure((1, 0, 0, 1), gens, partial(_product, p))
     if len(sl) != p * (p - 1) * (p + 1):
         raise InternalAssertion(
             f"pair generates order {len(sl)}, not SL(2,{p})"
@@ -309,18 +302,18 @@ def psl_group(p: int, A: Mat2, B: Mat2):
     reps = []
     for mat in sl:
         if mat not in index:
-            neg = tuple(-v % p for v in mat)
-            index[mat] = index[neg] = len(reps)
-            reps.append(min(mat, neg))
+            index[mat] = index[tuple(-v % p for v in mat)] = len(reps)
+            reps.append(mat)
 
     def mul(i, j, _reps=reps, _index=index, _p=p):
         return _index[_product(_p, _reps[i], _reps[j])]
 
-    G = FiniteGroup(
-        len(reps),
-        mul,
-        identity=index[ident],
-        label=f"PSL(2,{p})",
-        coords=lambda i: list(reps[i]),
-    )
+    G = FiniteGroup(len(reps), mul, label=f"PSL(2,{p})",
+                    coords=lambda i: list(projective_class(p, reps[i])))
     return G, index[gens[0]], index[gens[1]]
+
+
+def projective_class(p: int, mat: tuple) -> tuple:
+    """The name of +-M in PSL(2,p): the smaller of the entry tuples
+    (a, b, c, d) and (-a, -b, -c, -d) mod p."""
+    return min(mat, tuple(-v % p for v in mat))

@@ -211,22 +211,17 @@ def _coords(node) -> tuple:
         (lam,) = args
         return [[1 % lam, "i"], 0], [[0, "k"], 1]
     if head == "psl":
-        p, _ = args
+        from .sl2 import projective_class
 
-        def projective_class(M):
-            mat = M[1:]
-            return list(min(mat, tuple(-v % p for v in mat)))
-
-        return tuple(projective_class(M) for M in _psl_pair(*args))
+        return tuple(list(projective_class(args[0], M[1:])) for M in _psl_pair(*args))
 
 
 def generator_coords(desc: str):
     """JSON-friendly coordinates of the canonical generators.
 
     The same values `materialize(desc)` gives through `G.coords`, computed
-    from the descriptor: a PSL(2,p) element is the smaller of the matrix
-    entry tuples (a, b, c, d) and (-a, -b, -c, -d) mod p, and a cyclic
-    extension pairs the base coordinates with the residues that
+    from the descriptor: a PSL(2,p) element is its `sl2.projective_class`,
+    and a cyclic extension pairs the base coordinates with the residues that
     `origami.extend_by_cyclic` picks.
     """
     return list(_coords(parse_descriptor(desc)))

@@ -65,12 +65,19 @@ def test_element_orders():
 
 
 def test_axioms_exhaustive_small():
+    from regori import sl2
+    from regori.origami import one_cylinder, translation_group
+
     for G in (
         cyclic(12),
         direct_product(cyclic(4), cyclic(6)),
         semidirect_cyclic(9, 3, 4),
         two_group("Dic", 4),
         two_group("SD", 4),
+        # constructions that number their own elements put the identity at 0
+        sl2.psl_group(5, sl2.Mat2(5, 1, 1, 0, 1), sl2.standard_b(5))[0],
+        translation_group(one_cylinder(3)),
+        closure_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)], budget=24),
     ):
         G.check_axioms()
 

@@ -89,6 +89,10 @@ def test_regular_origami_abelian_torus():
 def test_regular_origami_rejects_nongenerating():
     with pytest.raises(NotGenerating):
         regular_origami(cyclic(4), 2, 2)
+    # the connectivity walk is the generation check, and stays a ValueError
+    with pytest.raises(NotGenerating) as info:
+        Origami((1, 0, 2, 3), (0, 1, 3, 2))
+    assert isinstance(info.value, ValueError)
 
 
 def test_one_cylinder_family():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from regori import perms
@@ -34,9 +36,42 @@ def test_order_and_cycles():
     assert perms.cycle_type(p) == (3, 2)
 
 
+def _orbit_of_0(gens) -> set:
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for f in gens:
+            if f[i] not in seen:
+                seen.add(f[i])
+                stack.append(f[i])
+    return seen
+
+
 def test_transitive_pair():
     assert perms.is_transitive_pair((1, 0, 2), (2, 1, 0))
     assert not perms.is_transitive_pair((1, 0, 2, 3), (0, 1, 3, 2))
+    # against the orbit under p, q and their inverses; each pair keeps a
+    # random split of the points invariant, so most are intransitive
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        points = list(range(n))
+        rng.shuffle(points)
+        cut = rng.randint(1, n)
+        blocks = (points[:cut], points[cut:])
+        pair = []
+        for _ in range(2):
+            p = [0] * n
+            for block in blocks:
+                for i, j in zip(block, rng.sample(block, len(block))):
+                    p[i] = j
+            pair.append(tuple(p))
+        p, q = pair
+        expected = len(_orbit_of_0((p, q, perms.invert(p), perms.invert(q)))) == n
+        assert perms.is_transitive_pair(p, q) == expected, (p, q)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_uniform_cycles():

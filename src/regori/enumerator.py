@@ -562,10 +562,11 @@ def _search(n, a) -> list:
                 continue
             if not touched[q // a] and q // a != pcyc and q != fresh_leader:
                 continue
-            if cstart[q] == sp:
-                if q != sp or not _closable(a, b, cstart, clen, clen[sp]):
+            # svi[q] == -1, so q starts its own chain
+            if q == sp:
+                if not _closable(a, b, cstart, clen, clen[sp]):
                     continue
-            elif cstart[q] != q or clen[sp] + clen[q] > room:
+            elif clen[sp] + clen[q] > room:
                 continue
             for m in unset:
                 if m[q] != -1:

@@ -273,35 +273,43 @@ def _all_element_orders(G: FiniteGroup) -> dict:
     return orders
 
 
-def _hom_extension_images(G: FiniteGroup, H: FiniteGroup, gens, images):
-    """Extend gens -> images to a map on all of G, or return None.
+def extend_map(pairs, x0, y0):
+    """The injective map f with f(x0) = y0 and f(s[x]) = t[f(x)] for every
+    (s, t) in pairs, or None when there is none.
 
-    Builds f by BFS over right multiplication by generators. Each element
-    is expanded once, so every edge a -> a*g is checked (or assigned) as
-    f(a*g) = f(a)*f(g), which forces the homomorphism property on the
-    whole group.
+    s and t are index tables on the domain and the codomain. A map that
+    commutes with a transitive action is fixed by the image of one point
+    (Dixon & Mortimer, *Permutation Groups*, Thm 4.2A), so f is grown from
+    x0 along the s, each point expanded once and each edge x -> s[x]
+    checked once; it fails on a clash or when two points reach one image.
+    The s must reach every point from x0. f is returned as a list.
     """
-    f = {0: 0}
-    queue = [0]
-    gmul, hmul = G.mul, H.mul
-    while queue:
-        a = queue.pop()
-        fa = f[a]
-        for g, fg in zip(gens, images):
-            b = gmul(a, g)
-            fb = hmul(fa, fg)
-            known = f.get(b)
-            if known is None:
-                f[b] = fb
-                queue.append(b)
-            elif known != fb:
+    f = [-1] * len(pairs[0][0])
+    hit = [False] * len(pairs[0][1])
+    f[x0] = y0
+    hit[y0] = True
+    stack = [x0]
+    while stack:
+        x = stack.pop()
+        fx = f[x]
+        for s, t in pairs:
+            y, fy = s[x], t[fx]
+            known = f[y]
+            if known == -1:
+                if hit[fy]:
+                    return None
+                f[y] = fy
+                hit[fy] = True
+                stack.append(y)
+            elif known != fy:
                 return None
-    if len(f) != G.order:
-        return None  # gens did not generate; caller bug
     return f
 
 
 def _iter_isomorphisms(G: FiniteGroup, H: FiniteGroup, gens):
+    """Isomorphisms G -> H of equal order, as lists indexed by G: each image
+    tuple of gens that keeps element orders is extended along right
+    multiplication, and an injective homomorphism is bijective."""
     from itertools import product
 
     orders = [G.element_order(g) for g in gens]
@@ -312,13 +320,16 @@ def _iter_isomorphisms(G: FiniteGroup, H: FiniteGroup, gens):
     pairs = [(i, k, G.element_order(G.mul(gens[i], gens[k])))
              for i in range(len(gens)) for k in range(i + 1, len(gens))]
     hmul = H.mul
+    sources = [G.right_translation(g) for g in gens]
+    targets = {}  # image in H -> its right-multiplication table, built on first use
     for images in product(*pools):
         if any(H.element_order(hmul(images[i], images[k])) != o for i, k, o in pairs):
             continue
-        f = _hom_extension_images(G, H, gens, images)
-        if f is None:
-            continue
-        if len(set(f.values())) == G.order:
+        for b in images:
+            if b not in targets:
+                targets[b] = H.right_translation(b)
+        f = extend_map([(s, targets[b]) for s, b in zip(sources, images)], 0, 0)
+        if f is not None:
             yield f
 
 

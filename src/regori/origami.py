@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import perms
 from .errors import InvalidGenus, NotGenerating
-from .groups import FiniteGroup, generates
+from .groups import FiniteGroup, closure, extend_map, generates
 from .strata import Stratum
 
 
@@ -98,44 +98,9 @@ def genus_of(o: Origami) -> int:
     return stratum_of(o).genus
 
 
-def _extend(h, v, hi, vi, j: int):
-    """The translation sending square 0 to j, or None when there is none.
-
-    A translation is determined by the image of square 0: the unique
-    equivariant extension either closes up or hits a contradiction.
-    """
-    n = len(h)
-    tau = [-1] * n
-    used = [False] * n
-    tau[0] = j
-    used[j] = True
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        tp = tau[p]
-        for f in (h, v, hi, vi):
-            q, tq = f[p], f[tp]
-            if tau[q] == -1:
-                if used[tq]:
-                    return None
-                tau[q] = tq
-                used[tq] = True
-                stack.append(q)
-            elif tau[q] != tq:
-                return None
-    return tuple(tau)
-
-
-def _orbit(start: list, gens: list, mark: bytearray, value: int) -> list:
-    """Close the points of start under gens, setting mark[p] = value on each."""
-    out = list(start)
-    for p in out:
-        for s in gens:
-            q = s[p]
-            if mark[q] != value:
-                mark[q] = value
-                out.append(q)
-    return out
+def _image(p: int, s) -> int:
+    """The image of point p under s: `closure`'s product for point orbits."""
+    return s[p]
 
 
 def _translation_generators(o: Origami) -> tuple:
@@ -143,28 +108,30 @@ def _translation_generators(o: Origami) -> tuple:
 
     The translations centralize the transitive monodromy group, so they act
     freely (semiregularly) on the squares (Dixon & Mortimer, *Permutation
-    Groups*, Thm 4.2A). Hence a target j needs a propagation only when the
-    translations found so far neither reach it from 0 nor have seen it fail:
-    if none sends 0 to j, none sends 0 to t(j) for a translation t either,
-    since t^-1 would then send 0 to j. Each success at least doubles the
-    orbit of 0, so there are at most log2(n) generators.
+    Groups*, Thm 4.2A). Hence a target j needs a propagation (`extend_map`
+    along the gluings) only when the translations found so far neither
+    reach it from 0 nor have seen it fail: if none sends 0 to j, none sends
+    0 to t(j) for a translation t either, since t^-1 would then send 0 to
+    j. Each success at least doubles the orbit of 0, so there are at most
+    log2(n) generators.
     """
     h, v = o.sigma_h, o.sigma_v
     hi, vi = perms.invert(h), perms.invert(v)
-    mark = bytearray(o.n)  # 1: in the orbit of 0, 2: no translation reaches it
-    mark[0] = 1
+    gluings = ((h, h), (v, v), (hi, hi), (vi, vi))
+    settled = bytearray(o.n)  # in the orbit of 0, or reached by no translation
     gens = []
     orbit = [0]
     for j in range(1, o.n):
-        if mark[j]:
+        if settled[j]:
             continue
-        tau = _extend(h, v, hi, vi, j)
+        tau = extend_map(gluings, 0, j)
         if tau is None:
-            mark[j] = 2
-            _orbit([j], gens, mark, 2)
+            points = closure(j, gens, _image)
         else:
             gens.append(tau)
-            orbit = _orbit(orbit, gens, mark, 1)
+            points = orbit = closure(0, gens, _image)
+        for p in points:
+            settled[p] = 1
     return gens, orbit
 
 

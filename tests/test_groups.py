@@ -157,6 +157,9 @@ def test_automorphism_counts():
     assert automorphism_count(direct_product(cyclic(2), cyclic(2))) == 6
     assert automorphism_count(two_group("Dic", 3)) == 24
     assert automorphism_count(cyclic(8)) == 4
+    # GL(3,2): image triples such as (a, b, ab) keep every order the search
+    # filters on, but the homomorphism they extend to is not injective
+    assert automorphism_count(direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))) == 168
     with pytest.raises(BudgetExceeded):
         automorphism_count(cyclic(128))
 
